@@ -2,45 +2,28 @@
 //! CI service gates.
 //!
 //! * `cargo run --release -p fle-bench --bin bench_service` — sweep the
-//!   concurrent backend at shard counts {1, 4, num_cpus} (2000 four-processor
+//!   async backend at shard counts {1, 4, num_cpus} (2000 four-processor
 //!   elections each, closed loop) plus an overload sweep at multiples of the
-//!   sustainable rate, and write `BENCH_service.json`.
-//! * `-- --smoke` — run 1000 concurrent instances with correctness
-//!   assertions (zero lost or duplicate outcomes, exactly one winner each)
-//!   and gate on a >3x throughput regression against the recording.
+//!   sustainable rate, the density sweep and the executor storm, and write
+//!   `BENCH_service.json`.
 //! * `-- --overload-smoke` — offer 2x the sustainable rate under the shed
 //!   policy and gate on the overload properties: nonzero shed, bounded queue
 //!   depth, intact admitted work, balanced accounting, goodput holding up.
 //! * `-- --metrics-smoke` — run the same storm with per-shard metrics on and
 //!   off; assert the snapshot invariants (per-shard sums equal the aggregate
 //!   stats, every instance attributed) and gate on recorder overhead.
-//! * `-- --async-smoke` — the density gate for the task-multiplexed backend:
-//!   submit thousands of executor instances before awaiting any (peak
-//!   in-flight must clear the floor, zero lost/duplicate outcomes), then run
-//!   the closed-loop smoke storm on `BackendKind::Async` with the full
-//!   correctness assertions.
+//! * `-- --async-smoke` — the density and throughput gate for the
+//!   task-multiplexed backend: submit thousands of executor instances before
+//!   awaiting any (peak in-flight must clear the floor, zero lost/duplicate
+//!   outcomes), then run 1000 instances through the service on
+//!   `BackendKind::Async` with the full correctness assertions and gate on
+//!   a throughput regression of more than 3x against the recorded async
+//!   n = 4 density row.
 
 use fle_bench::service_load;
 
 fn main() {
     let args: Vec<String> = std::env::args().collect();
-    if args.iter().any(|arg| arg == "--smoke") {
-        match service_load::smoke_check() {
-            Ok((measured, recorded)) => {
-                println!(
-                    "service-smoke OK: {} instances across {} shards, measured {measured:.0} \
-                     instances/s (recorded {recorded:.0}), all outcomes verified",
-                    service_load::SMOKE_INSTANCES,
-                    service_load::SMOKE_SHARDS,
-                );
-            }
-            Err(message) => {
-                eprintln!("service-smoke FAILED: {message}");
-                std::process::exit(1);
-            }
-        }
-        return;
-    }
     if args.iter().any(|arg| arg == "--overload-smoke") {
         match service_load::overload_smoke_check() {
             Ok((goodput, shed_fraction)) => {
@@ -59,12 +42,20 @@ fn main() {
 
     if args.iter().any(|arg| arg == "--async-smoke") {
         match service_load::async_smoke_check() {
-            Ok((storm, service_per_sec)) => {
+            Ok(smoke) => {
+                let storm = smoke.storm;
                 println!(
                     "async-smoke OK: peak {} concurrent instances (n={}) over {} task workers \
-                     ({:.0} instances/s executor-direct), service storm on the async backend \
-                     at {service_per_sec:.0} instances/s, all outcomes verified",
-                    storm.peak_in_flight, storm.n, storm.task_workers, storm.instances_per_sec,
+                     ({:.0} instances/s executor-direct); {} service instances across {} \
+                     shards at {:.0} instances/s (recorded {:.0}), all outcomes verified",
+                    storm.peak_in_flight,
+                    storm.n,
+                    storm.task_workers,
+                    storm.instances_per_sec,
+                    service_load::SMOKE_INSTANCES,
+                    service_load::SMOKE_SHARDS,
+                    smoke.measured,
+                    smoke.recorded,
                 );
             }
             Err(message) => {

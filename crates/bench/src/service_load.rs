@@ -24,13 +24,13 @@
 //! it measures: exactly one result per admitted key (nothing lost, nothing
 //! duplicated), exactly one winner per election instance, and the service's
 //! accounting invariant `submitted = completed + failed + shed + drained`.
-//! The standard recording ([`record_default`]) sweeps the concurrent backend
-//! at shard counts {1, 4, `num_cpus`}, the concurrent-vs-async backend
-//! density sweep at n ∈ {4, 16, 64} ([`density_sweep`]), and the
-//! executor-direct density storm ([`executor_density_storm`] — every
-//! instance in flight at once, `peak_in_flight` measured), and writes
-//! `BENCH_service.json`; [`smoke_check`], [`overload_smoke_check`] and
-//! [`async_smoke_check`] are the CI gates.
+//! The standard recording ([`record_default`]) sweeps the async backend at
+//! shard counts {1, 4, `num_cpus`}, the density sweep at n ∈ {4, 16, 64}
+//! ([`density_sweep`]), and the executor-direct density storm
+//! ([`executor_density_storm`] — every instance in flight at once,
+//! `peak_in_flight` measured), and writes `BENCH_service.json`;
+//! [`async_smoke_check`], [`overload_smoke_check`] and
+//! [`metrics_smoke_check`] are the CI gates.
 
 use crate::hist::LogHistogram;
 use crate::json::write_or_warn;
@@ -61,12 +61,13 @@ pub struct LoadSpec {
 }
 
 impl LoadSpec {
-    /// A closed-loop spec on the concurrent backend: `instances` elections
-    /// of size `n` over `shards` shards, with twice as many clients as
-    /// shards (enough to keep every shard busy).
-    pub fn concurrent(shards: usize, instances: usize, n: usize) -> Self {
+    /// A closed-loop spec: `instances` elections of size `n` over `shards`
+    /// shards, with twice as many clients as shards (enough to keep every
+    /// shard busy), on the async backend unless
+    /// [`LoadSpec::with_backend`] picks another.
+    pub fn new(shards: usize, instances: usize, n: usize) -> Self {
         LoadSpec {
-            backend: BackendKind::Concurrent,
+            backend: BackendKind::Async,
             shards,
             instances,
             n,
@@ -368,7 +369,7 @@ pub fn open_loop_overload_observed(
     rate_per_sec: f64,
 ) -> (OverloadResult, Option<MetricsSnapshot>) {
     assert!(rate_per_sec > 0.0, "the offered rate must be positive");
-    let config = ServiceConfig::new(spec.shards, BackendKind::Concurrent)
+    let config = ServiceConfig::new(spec.shards, BackendKind::Async)
         .with_queue_capacity(spec.queue_capacity)
         .with_overload_policy(spec.policy);
     let service = ElectionService::new(config);
@@ -450,7 +451,7 @@ pub fn overload_sweep(
     n: usize,
     multipliers: &[f64],
 ) -> (f64, Vec<OverloadResult>) {
-    let sustainable = closed_loop(LoadSpec::concurrent(shards, instances, n)).instances_per_sec;
+    let sustainable = closed_loop(LoadSpec::new(shards, instances, n)).instances_per_sec;
     let results = multipliers
         .iter()
         .enumerate()
@@ -477,7 +478,7 @@ pub fn overload_sweep(
 
 /// Single-threaded reference: the same instances run back-to-back on the
 /// bare backend with no service in front (no shards, no queues, no tickets).
-/// The machine-independent yardstick for [`smoke_check`].
+/// The machine-independent yardstick for [`async_smoke_check`].
 pub fn sequential_reference(spec: LoadSpec) -> f64 {
     let registers = std::sync::Arc::new(fle_runtime::SharedRegisters::new(16));
     let backend = spec.backend.build(&registers, None);
@@ -494,24 +495,16 @@ pub fn sequential_reference(spec: LoadSpec) -> f64 {
     spec.instances as f64 / start.elapsed().as_secs_f64()
 }
 
-/// The backend-density sweep: the same closed-loop storm at system sizes
-/// n ∈ {4, 16, 64} on both the concurrent and the async backend. The
-/// concurrent backend spends n OS threads per in-flight instance (spawned
-/// and joined per run), the async backend multiplexes the n participant
-/// tasks of every instance over one fixed worker pool — so the gap between
-/// the two columns at a given n is the price of thread-per-participant
-/// execution, and it widens as n grows. Instance counts shrink with n to
-/// keep total work roughly level across the sweep.
+/// The density sweep: the same closed-loop storm at system sizes
+/// n ∈ {4, 16, 64} on the async backend, which multiplexes the n
+/// participant tasks of every instance over one fixed worker pool.
+/// Instance counts shrink with n to keep total work roughly level across
+/// the sweep.
 pub fn density_sweep(shards: usize) -> Vec<LoadResult> {
-    let mut points = Vec::new();
-    for (n, instances) in [(4usize, 800usize), (16, 400), (64, 120)] {
-        for backend in [BackendKind::Concurrent, BackendKind::Async] {
-            points.push(closed_loop(
-                LoadSpec::concurrent(shards, instances, n).with_backend(backend),
-            ));
-        }
-    }
-    points
+    [(4usize, 800usize), (16, 400), (64, 120)]
+        .into_iter()
+        .map(|(n, instances)| closed_loop(LoadSpec::new(shards, instances, n)))
+        .collect()
 }
 
 /// The measurement of one executor-direct density storm
@@ -537,7 +530,7 @@ pub struct DensityStorm {
 /// `instances` n-participant elections all staged *before any task runs*:
 /// the pool starts paused, the whole batch is submitted (so `instances × n`
 /// cooperative tasks are genuinely in flight at once — a load shape that
-/// would need `instances × n` OS threads on the concurrent backend), and
+/// would need `instances × n` OS threads with one thread per participant), and
 /// the workers are then released to drain it. Verifies while it measures:
 /// every ticket resolves exactly once with n outcomes and one winner
 /// (nothing lost, nothing duplicated, namespaces don't interfere), and the
@@ -616,7 +609,18 @@ pub const DENSITY_STORM_N: usize = 16;
 /// OS thread" claim, asserted rather than assumed).
 pub const DENSITY_MIN_PEAK: usize = 5000;
 
-/// The CI async-smoke gate, two halves:
+/// What the async-smoke gate measured.
+#[derive(Debug, Clone, Copy)]
+pub struct AsyncSmoke {
+    /// The executor-direct density storm.
+    pub storm: DensityStorm,
+    /// Service throughput of the closed-loop smoke storm, instances/s.
+    pub measured: f64,
+    /// The recorded async n = 4 density row it was compared against.
+    pub recorded: f64,
+}
+
+/// The CI async-smoke gate, three parts:
 ///
 /// 1. **Density**: [`executor_density_storm`] with
 ///    [`DENSITY_STORM_INSTANCES`] instances of size [`DENSITY_STORM_N`] —
@@ -624,15 +628,24 @@ pub const DENSITY_MIN_PEAK: usize = 5000;
 ///    in-flight accounting returns to zero) and the peak concurrency must
 ///    reach [`DENSITY_MIN_PEAK`], proving the executor really multiplexes
 ///    thousands of instances over its fixed pool.
-/// 2. **Service**: the standard closed-loop smoke storm on
-///    `BackendKind::Async` — the same correctness assertions the concurrent
-///    smoke makes (one result per key, one winner per instance, balanced
-///    accounting invariant, per-shard metrics agreeing with the aggregate).
+/// 2. **Service**: [`SMOKE_INSTANCES`] four-processor elections through the
+///    service on `BackendKind::Async` (one result per key, one winner per
+///    instance, balanced accounting invariant, per-shard metrics agreeing
+///    with the aggregate).
+/// 3. **Throughput**: the service storm compared with the recorded async
+///    n = 4 row of the density sweep in `BENCH_service.json`. Like the
+///    baseline smoke gate it needs two signals to fail: the absolute
+///    throughput fell more than [`SMOKE_REGRESSION_FACTOR`]× below the
+///    recording **and** the same-run service-vs-sequential ratio dropped
+///    below [`SMOKE_MIN_SEQUENTIAL_FRACTION`] — a slow runner passes the
+///    second check, a genuine service regression fails both.
 ///
 /// # Errors
-/// Returns a description of the failure (the correctness assertions inside
-/// the storms panic instead — a lost outcome is a bug, not a gate trip).
-pub fn async_smoke_check() -> Result<(DensityStorm, f64), String> {
+/// Returns a description of the failure: no peak, an unreadable recording,
+/// or a regression confirmed by both signals (the correctness assertions
+/// inside the storms panic instead — a lost outcome is a bug, not a gate
+/// trip).
+pub fn async_smoke_check() -> Result<AsyncSmoke, String> {
     let storm = executor_density_storm(DENSITY_STORM_INSTANCES, DENSITY_STORM_N);
     if storm.peak_in_flight < DENSITY_MIN_PEAK {
         return Err(format!(
@@ -641,10 +654,34 @@ pub fn async_smoke_check() -> Result<(DensityStorm, f64), String> {
             storm.peak_in_flight, storm.instances
         ));
     }
-    let spec =
-        LoadSpec::concurrent(SMOKE_SHARDS, SMOKE_INSTANCES, 4).with_backend(BackendKind::Async);
-    let service = closed_loop(spec);
-    Ok((storm, service.instances_per_sec))
+    let path = service_bench_path();
+    let json = std::fs::read_to_string(&path)
+        .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
+    let recorded = recorded_density_instances_per_sec(&json, "async", 4)
+        .ok_or_else(|| format!("no async n=4 density row in {}", path.display()))?;
+    let measured = closed_loop(LoadSpec::new(SMOKE_SHARDS, SMOKE_INSTANCES, 4)).instances_per_sec;
+    if measured * SMOKE_REGRESSION_FACTOR < recorded {
+        let sequential = sequential_reference(LoadSpec::new(1, 200, 4));
+        let fraction = measured / sequential;
+        if fraction < SMOKE_MIN_SEQUENTIAL_FRACTION {
+            return Err(format!(
+                "service throughput regressed: measured {measured:.0} instances/s is more \
+                 than {SMOKE_REGRESSION_FACTOR}x below the recorded {recorded:.0}, and the \
+                 same-run service/sequential ratio {fraction:.2} fell below \
+                 {SMOKE_MIN_SEQUENTIAL_FRACTION:.2}"
+            ));
+        }
+        eprintln!(
+            "async-smoke note: absolute throughput below the recording \
+             (measured {measured:.0} vs recorded {recorded:.0}) but the same-run \
+             service/sequential ratio {fraction:.2} is healthy — assuming a slower machine"
+        );
+    }
+    Ok(AsyncSmoke {
+        storm,
+        measured,
+        recorded,
+    })
 }
 
 /// Render load + overload + density results as the `BENCH_service.json`
@@ -668,9 +705,9 @@ pub fn to_json(
     out.push_str(
         "  \"methodology\": \"clients = 2 x shards closed-loop threads, each keeping one \
          instance in flight; every run asserts exactly one result per key and one winner per \
-         instance; latency is submit-to-completion including queueing; concurrent backend = \
-         namespaced shared registers, threads per instance = n; percentiles from a log-scaled \
-         histogram (<= 1.6% bucket error)\",\n",
+         instance; latency is submit-to-completion including queueing; async backend = \
+         namespaced shared registers, participants as tasks on one executor pool; percentiles \
+         from a log-scaled histogram (<= 1.6% bucket error)\",\n",
     );
     out.push_str("  \"points\": [\n");
     for (index, p) in points.iter().enumerate() {
@@ -699,8 +736,6 @@ pub fn to_json(
          goodput = completed/s; latency percentiles cover admitted work only; accounting \
          invariant submitted = completed + failed + shed + drained asserted every run\",\n",
     );
-    // NOTE: entries here must not contain the bare key `\"shards\":` — the
-    // line-oriented closed-loop parser above matches on it.
     out.push_str("  \"overload\": [\n");
     for (index, o) in overload.iter().enumerate() {
         let comma = if index + 1 < overload.len() { "," } else { "" };
@@ -731,17 +766,16 @@ pub fn to_json(
     out.push_str("  ],\n");
     out.push_str(
         "  \"density_methodology\": \"the same closed-loop storm at n in {4, 16, 64} on the \
-         concurrent and async backends (instance counts shrink with n to keep total work \
-         level): concurrent spawns and joins n OS threads per instance, async multiplexes the \
-         n participant tasks over one fixed executor pool, so the per-n gap prices \
-         thread-per-participant execution; executor_storm drives the executor directly: the \
+         async backend (instance counts shrink with n to keep total work level), which \
+         multiplexes the n participant tasks over one fixed executor pool; the n = 4 row is \
+         the async-smoke throughput reference; executor_storm drives the executor directly: the \
          whole batch is staged on a paused pool, then the workers are released to drain it — \
          peak_in_flight is the measured concurrency high-water mark, instances_per_sec the \
          drain rate, with every outcome verified (none lost, none duplicated, one winner \
          each)\",\n",
     );
-    // NOTE: density entries use `worker_shards`, never the bare `"shards":`
-    // key the line-oriented closed-loop parser matches on.
+    // NOTE: density entries carry `worker_shards`, the key the
+    // line-oriented density parser matches on.
     out.push_str("  \"density\": [\n");
     for (index, p) in density.iter().enumerate() {
         let comma = if index + 1 < density.len() { "," } else { "" };
@@ -780,9 +814,6 @@ pub fn to_json(
              terminal; histogram quantiles <= 1.6% bucket error; per-shard sums cross-checked \
              against the aggregate ServiceStats every run\",\n",
         );
-        // The snapshot serializer never emits a bare `"shards":` key (it
-        // uses `worker_shards`/`per_shard`), so the line-oriented
-        // closed-loop parser above stays safe.
         let _ = write!(
             out,
             "  \"metrics\": {}",
@@ -836,7 +867,7 @@ pub fn record(path: &Path, specs: &[LoadSpec], overload_shards: usize) -> Record
     }
 }
 
-/// The standard recording: the concurrent backend at shard counts
+/// The standard recording: the async backend at shard counts
 /// {1, 4, `num_cpus`} (deduplicated), 2000 four-processor elections each,
 /// plus the overload sweep, density n-sweep, and executor storm at 4 shards.
 pub fn record_default() -> Recording {
@@ -846,27 +877,15 @@ pub fn record_default() -> Recording {
     shard_counts.dedup();
     let specs: Vec<LoadSpec> = shard_counts
         .into_iter()
-        .map(|shards| LoadSpec::concurrent(shards, 2000, 4))
+        .map(|shards| LoadSpec::new(shards, 2000, 4))
         .collect();
     record(&service_bench_path(), &specs, 4)
 }
 
-/// Extract `instances_per_sec` for one shard count from a recorded
-/// `BENCH_service.json` (line-oriented, like the baseline parser).
-pub fn recorded_instances_per_sec(json: &str, shards: usize) -> Option<f64> {
-    let needle = format!("\"shards\": {shards},");
-    let line = json.lines().find(|line| line.contains(&needle))?;
-    let key = "\"instances_per_sec\": ";
-    let start = line.find(key)? + key.len();
-    let rest = &line[start..];
-    let end = rest.find(',').unwrap_or(rest.len());
-    rest[..end].trim().parse().ok()
-}
-
 /// Extract `instances_per_sec` for one `(backend, n)` point of the recorded
-/// density sweep (line-oriented, like [`recorded_instances_per_sec`];
-/// density lines are the only ones carrying both a `backend` label and a
-/// `worker_shards` key).
+/// density sweep (line-oriented, like the baseline parser; density lines are
+/// the only ones carrying both a `backend` label and a `worker_shards`
+/// key).
 pub fn recorded_density_instances_per_sec(json: &str, backend: &str, n: usize) -> Option<f64> {
     let backend_needle = format!("\"backend\": \"{backend}\", \"worker_shards\":");
     let n_needle = format!("\"n\": {n},");
@@ -880,10 +899,10 @@ pub fn recorded_density_instances_per_sec(json: &str, backend: &str, n: usize) -
     rest[..end].trim().parse().ok()
 }
 
-/// Instances of the CI smoke run (the "≥ 1000 concurrent instances" gate).
+/// Instances of the CI service smoke storm.
 pub const SMOKE_INSTANCES: usize = 1000;
 
-/// Shard count of the CI smoke run (matches a recorded point).
+/// Shard count of the CI smoke storm (matches the recorded density rows).
 pub const SMOKE_SHARDS: usize = 4;
 
 /// Absolute regression factor against the recording before the gate even
@@ -896,48 +915,6 @@ pub const SMOKE_REGRESSION_FACTOR: f64 = 3.0;
 /// sharding, retirement) is devouring the backend's throughput — a real
 /// regression even on a slow runner.
 pub const SMOKE_MIN_SEQUENTIAL_FRACTION: f64 = 1.0 / 3.0;
-
-/// The CI service-smoke gate: run [`SMOKE_INSTANCES`] concurrent-backend
-/// instances (correctness asserted throughout — zero lost or duplicate
-/// outcomes, one winner each, balanced accounting), then compare throughput
-/// with the recorded `BENCH_service.json`.
-///
-/// Mirrors the baseline smoke gate's two-signal design: fail only when the
-/// absolute throughput fell more than [`SMOKE_REGRESSION_FACTOR`]× below the
-/// recording **and** the same-run service-vs-sequential ratio dropped below
-/// [`SMOKE_MIN_SEQUENTIAL_FRACTION`] — a slow runner passes the second
-/// check, a genuine service regression fails both.
-///
-/// # Errors
-/// Returns a description of the failure: unreadable recording or a
-/// regression confirmed by both signals.
-pub fn smoke_check() -> Result<(f64, f64), String> {
-    let path = service_bench_path();
-    let json = std::fs::read_to_string(&path)
-        .map_err(|error| format!("cannot read {}: {error}", path.display()))?;
-    let recorded = recorded_instances_per_sec(&json, SMOKE_SHARDS)
-        .ok_or_else(|| format!("no shards={SMOKE_SHARDS} point in {}", path.display()))?;
-    let result = closed_loop(LoadSpec::concurrent(SMOKE_SHARDS, SMOKE_INSTANCES, 4));
-    let measured = result.instances_per_sec;
-    if measured * SMOKE_REGRESSION_FACTOR < recorded {
-        let sequential = sequential_reference(LoadSpec::concurrent(1, 200, 4));
-        let fraction = measured / sequential;
-        if fraction < SMOKE_MIN_SEQUENTIAL_FRACTION {
-            return Err(format!(
-                "service throughput regressed: measured {measured:.0} instances/s is more \
-                 than {SMOKE_REGRESSION_FACTOR}x below the recorded {recorded:.0}, and the \
-                 same-run service/sequential ratio {fraction:.2} fell below \
-                 {SMOKE_MIN_SEQUENTIAL_FRACTION:.2}"
-            ));
-        }
-        eprintln!(
-            "service-smoke note: absolute throughput below the recording \
-             (measured {measured:.0} vs recorded {recorded:.0}) but the same-run \
-             service/sequential ratio {fraction:.2} is healthy — assuming a slower machine"
-        );
-    }
-    Ok((measured, recorded))
-}
 
 /// Maximum slowdown the per-shard metrics layer may cost: metrics-on
 /// throughput must stay at least this fraction of metrics-off throughput
@@ -963,7 +940,7 @@ pub const METRICS_MIN_THROUGHPUT_FRACTION: f64 = 0.80;
 /// # Errors
 /// Returns a description of the first violated property.
 pub fn metrics_smoke_check() -> Result<(f64, f64), String> {
-    let spec = LoadSpec::concurrent(SMOKE_SHARDS, SMOKE_INSTANCES, 4);
+    let spec = LoadSpec::new(SMOKE_SHARDS, SMOKE_INSTANCES, 4);
     let mut on = run_closed_loop(spec, true);
     let snapshot = on
         .metrics
@@ -1036,7 +1013,7 @@ pub fn metrics_smoke_check() -> Result<(f64, f64), String> {
 /// Returns a description of the first violated property.
 pub fn overload_smoke_check() -> Result<(f64, f64), String> {
     let shards = 2;
-    let sustainable = closed_loop(LoadSpec::concurrent(shards, 400, 4)).instances_per_sec;
+    let sustainable = closed_loop(LoadSpec::new(shards, 400, 4)).instances_per_sec;
     let mut spec = OverloadSpec::shed(shards, 600, 4);
     spec.base_key = 10_000_000;
     let mut result = open_loop_overload(spec, sustainable * 2.0);
@@ -1072,7 +1049,7 @@ mod tests {
 
     #[test]
     fn closed_loop_serves_and_verifies_a_small_storm() {
-        let result = closed_loop(LoadSpec::concurrent(2, 64, 3));
+        let result = closed_loop(LoadSpec::new(2, 64, 3));
         assert!(result.instances_per_sec > 0.0);
         assert!(result.p50_micros <= result.p95_micros);
         assert!(result.p95_micros <= result.p99_micros);
@@ -1081,21 +1058,21 @@ mod tests {
 
     #[test]
     fn open_loop_completes_at_a_modest_rate() {
-        let result = open_loop(LoadSpec::concurrent(2, 20, 3), 2000.0);
+        let result = open_loop(LoadSpec::new(2, 20, 3), 2000.0);
         assert!(result.instances_per_sec > 0.0);
         assert!(result.max_micros > 0);
     }
 
     #[test]
     fn sim_backend_load_also_verifies() {
-        let spec = LoadSpec::concurrent(2, 32, 4).with_backend(BackendKind::Sim);
+        let spec = LoadSpec::new(2, 32, 4).with_backend(BackendKind::Sim);
         let result = closed_loop(spec);
         assert!(result.instances_per_sec > 0.0);
     }
 
     #[test]
     fn retry_with_backoff_eventually_admits_against_a_tiny_queue() {
-        let config = ServiceConfig::new(1, BackendKind::Concurrent)
+        let config = ServiceConfig::new(1, BackendKind::Async)
             .with_queue_capacity(1)
             .with_overload_policy(OverloadPolicy::Shed);
         let service = ElectionService::new(config);
@@ -1132,15 +1109,12 @@ mod tests {
 
     #[test]
     fn json_round_trips_through_the_smoke_parser() {
-        let points = vec![closed_loop(LoadSpec::concurrent(1, 16, 3))];
+        let points = vec![closed_loop(LoadSpec::new(1, 16, 3))];
         let mut spec = OverloadSpec::shed(1, 40, 3);
         spec.queue_capacity = 2;
         spec.base_key = 500_000;
         let overload = vec![open_loop_overload(spec, 20_000.0)];
-        let density = vec![
-            closed_loop(LoadSpec::concurrent(1, 12, 3)),
-            closed_loop(LoadSpec::concurrent(1, 12, 3).with_backend(BackendKind::Async)),
-        ];
+        let density = vec![closed_loop(LoadSpec::new(1, 12, 3))];
         let storm = executor_density_storm(32, 3);
         let metrics = points[0].metrics.clone();
         let json = to_json(&points, &overload, &density, Some(&storm), metrics.as_ref());
@@ -1153,34 +1127,21 @@ mod tests {
         assert!(json.contains("\"metrics\": {"));
         assert!(json.contains("\"worker_shards\": 1"));
         assert!(json.contains("\"per_shard\": ["));
-        let parsed = recorded_instances_per_sec(&json, 1).expect("parseable");
-        assert!(
-            (parsed - points[0].instances_per_sec).abs() < 1.0,
-            "the overload, density and metrics sections must not shadow the closed-loop points"
-        );
-        assert_eq!(recorded_instances_per_sec(&json, 99), None);
         let dense = recorded_density_instances_per_sec(&json, "async", 3).expect("parseable");
         assert!(
-            (dense - density[1].instances_per_sec).abs() < 1.0,
-            "the density parser must pick the async point, not the concurrent one"
+            (dense - density[0].instances_per_sec).abs() < 1.0,
+            "the density parser must pick the density row, not the closed-loop point"
         );
         assert_eq!(recorded_density_instances_per_sec(&json, "async", 99), None);
     }
 
     #[test]
     fn json_without_metrics_still_closes_cleanly() {
-        let points = vec![closed_loop(LoadSpec::concurrent(1, 8, 3))];
+        let points = vec![closed_loop(LoadSpec::new(1, 8, 3))];
         let json = to_json(&points, &[], &[], None, None);
         assert!(json.trim_end().ends_with('}'));
         assert!(!json.contains("\"metrics\""));
         assert!(!json.contains("\"executor_storm\""));
-    }
-
-    #[test]
-    fn async_backend_load_also_verifies() {
-        let spec = LoadSpec::concurrent(2, 32, 4).with_backend(BackendKind::Async);
-        let result = closed_loop(spec);
-        assert!(result.instances_per_sec > 0.0);
     }
 
     #[test]
@@ -1197,7 +1158,7 @@ mod tests {
 
     #[test]
     fn closed_loop_snapshot_attributes_every_instance() {
-        let result = closed_loop(LoadSpec::concurrent(2, 64, 3));
+        let result = closed_loop(LoadSpec::new(2, 64, 3));
         let snapshot = result.metrics.expect("metrics are on by default");
         let total = snapshot.aggregate();
         assert_eq!(total.admitted, 64);
@@ -1209,6 +1170,6 @@ mod tests {
 
     #[test]
     fn sequential_reference_is_positive() {
-        assert!(sequential_reference(LoadSpec::concurrent(1, 8, 3)) > 0.0);
+        assert!(sequential_reference(LoadSpec::new(1, 8, 3)) > 0.0);
     }
 }

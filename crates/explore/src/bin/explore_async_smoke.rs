@@ -1,12 +1,12 @@
 //! CI smoke sweep for schedule exploration of the **task executor**.
 //!
-//! The async twin of `explore_shm_smoke`: runs the full attack library
-//! against every healthy scenario at n ∈ {4, 8} on the task-multiplexed
-//! executor (participants as cooperative tasks behind the same schedule
-//! gates, serialized under adversary-chosen interleavings), with fixed
-//! seeds, and asserts that **zero** violations are found — the paper's
-//! invariants must survive every strategy on the backend that multiplexes
-//! thousands of participants per OS thread. As a positive control it then
+//! The shared-register twin of `explore_smoke`: runs the full attack
+//! library against every healthy scenario at n ∈ {4, 8} on the
+//! task-multiplexed executor (participants as cooperative tasks behind
+//! schedule gates, serialized under adversary-chosen interleavings over
+//! `SharedRegisters`), with fixed seeds, and asserts that **zero**
+//! violations are found — the paper's invariants must survive every
+//! strategy on the concurrency model we actually ship. As a positive control it then
 //! hunts the two sabotaged protocol variants on the same substrate and
 //! asserts both *are* caught, that the election counterexample replays
 //! deterministically from its recorded decision trace, and that ddmin

@@ -1,27 +1,25 @@
-//! Cross-backend corpus-replay differential: traces recorded on the
-//! simulator are *valid schedules* on the gate-serialized backends (the
-//! tolerant replayers guarantee it), and the two gated substrates — one OS
-//! thread per participant vs. cooperative tasks — are decision-for-decision
-//! identical behind the gate, so a corpus trace must replay to the **same
-//! oracle verdict** on Concurrent and Async, whatever that verdict is.
+//! Cross-backend corpus replay: traces recorded on the simulator are *valid
+//! schedules* on the gated shared-register backend (the tolerant replayers
+//! guarantee it), and the gate makes every replay deterministic, so a corpus
+//! trace must replay to the **same oracle verdict** every time, whatever
+//! that verdict is.
 //!
 //! Two layers:
 //!
 //! * healthy corpus entries (recorded by a Sim coverage hunt over the real
-//!   election) replay clean on both gated substrates;
-//! * sabotage counterexamples found on Sim replay to substrate-identical
-//!   verdicts on Concurrent and Async — and at least one of them *transfers*
-//!   (refires `unique-leader` on both), which is what makes a Sim-built
-//!   corpus worth seeding gated hunts with.
+//!   election) replay clean on the gated executor;
+//! * sabotage counterexamples found on Sim replay to repeatable verdicts on
+//!   the gated executor — and at least two of them *transfer* (refire
+//!   `unique-leader`), which is what makes a Sim-built corpus worth seeding
+//!   gated hunts with.
 
 use fle_explore::sabotage::SabotagedElectionScenario;
 use fle_explore::{
-    replay_exec, replay_shm, CoverageConfig, CoverageExplorer, ElectionScenario, Explorer,
-    ShmConfig,
+    replay_exec, CoverageConfig, CoverageExplorer, ElectionScenario, Explorer, ShmConfig,
 };
 
 #[test]
-fn healthy_sim_corpus_traces_replay_clean_on_both_gated_substrates() {
+fn healthy_sim_corpus_traces_replay_clean_on_the_gated_executor() {
     let scenario = ElectionScenario { n: 4, k: 4 };
     let report = CoverageExplorer::new(&scenario)
         .with_config(CoverageConfig {
@@ -39,25 +37,22 @@ fn healthy_sim_corpus_traces_replay_clean_on_both_gated_substrates() {
     );
     let config = ShmConfig::default();
     for entry in report.corpus.entries() {
-        let (shm, shm_consumed) = replay_shm(&scenario, entry.sim_seed, &entry.trace, &config);
-        let (exec, exec_consumed) = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
+        let (first, first_consumed) = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
+        let (again, again_consumed) = replay_exec(&scenario, entry.sim_seed, &entry.trace, &config);
         assert!(
-            shm.is_none(),
-            "healthy corpus trace flagged on threads: {shm:?}"
+            first.is_none(),
+            "healthy corpus trace flagged on the executor: {first:?}"
         );
-        assert!(
-            exec.is_none(),
-            "healthy corpus trace flagged on tasks: {exec:?}"
-        );
+        assert!(again.is_none());
         assert_eq!(
-            shm_consumed, exec_consumed,
-            "the gate makes both substrates consume the identical prefix"
+            first_consumed, again_consumed,
+            "the gate makes every replay consume the identical prefix"
         );
     }
 }
 
 #[test]
-fn sabotage_counterexamples_get_substrate_identical_verdicts_and_some_transfer() {
+fn sabotage_counterexamples_replay_repeatably_and_some_transfer() {
     let scenario = SabotagedElectionScenario { n: 4, k: 4 };
     // Sim-side hunt: the DropWrites mutant yields a pile of unique-leader
     // counterexamples across the seed grid.
@@ -71,22 +66,18 @@ fn sabotage_counterexamples_get_substrate_identical_verdicts_and_some_transfer()
     for found in &report.violations {
         assert_eq!(found.violation.oracle, "unique-leader");
         let seed = found.plan.sim_seed;
-        let (shm, _) = replay_shm(&scenario, seed, &found.decisions, &config);
-        let (exec, _) = replay_exec(&scenario, seed, &found.decisions, &config);
-        // The gate interface is substrate-blind: threads and tasks must
-        // agree on every trace, transferred or not.
-        assert_eq!(
-            shm.as_ref().map(|v| v.oracle),
-            exec.as_ref().map(|v| v.oracle),
-            "threads and tasks disagree on seed {seed}"
-        );
-        if shm.as_ref().map(|v| v.oracle) == Some("unique-leader") {
+        let (first, _) = replay_exec(&scenario, seed, &found.decisions, &config);
+        let (again, _) = replay_exec(&scenario, seed, &found.decisions, &config);
+        // The gate serializes the executor: every trace replays to the
+        // identical verdict, transferred or not.
+        assert_eq!(first, again, "replays disagree on seed {seed}");
+        if first.as_ref().map(|v| v.oracle) == Some("unique-leader") {
             transferred += 1;
         }
     }
     // Pinned empirically (seeds 0..8, default library): starve@1,
     // split-brain@4 and several weighted walks refire on the gated
-    // substrates. A regression here means Sim decision indices stopped
+    // executor. A regression here means Sim decision indices stopped
     // mapping onto gated grant indices closely enough to transfer.
     assert!(
         transferred >= 2,

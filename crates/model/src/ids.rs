@@ -6,7 +6,7 @@ use std::fmt;
 /// The splitmix64 finalizer: mixes a key into a uniformly distributed value.
 ///
 /// Used wherever the workspace needs a *deterministic* hash — shard routing
-/// in the concurrent register bank and the service front-end — where the std
+/// in the shared register bank and the service front-end — where the std
 /// hasher's documented freedom to change across releases would silently
 /// reshuffle placements.
 pub fn splitmix64(key: u64) -> u64 {

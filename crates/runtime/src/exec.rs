@@ -1,55 +1,45 @@
 //! The task-multiplexed cooperative executor: thousands of participants per
 //! OS thread.
 //!
-//! [`run_concurrent`](crate::run_concurrent) spawns one OS thread per
-//! participant per instance — realistic, but at the service's measured
-//! throughput that is tens of thousands of thread spawns per second, and it
-//! is exactly why the density of in-flight instances was capped. This module
-//! removes the thread-per-participant cost: a participant is a
-//! [`DriveMachine`] plus its protocol and register handle — a few hundred
-//! bytes of suspended state — and a small pool of worker threads polls those
-//! tasks cooperatively from a shared run queue. One OS thread hosts
-//! thousands of participants instead of one.
+//! A participant is a [`DriveMachine`] plus its protocol and register
+//! handle — a few hundred bytes of suspended state — and a small pool of
+//! worker threads polls those tasks cooperatively from a shared run queue.
+//! One OS thread hosts thousands of participants, so the density of
+//! in-flight instances is bounded by memory, not by thread spawns.
 //!
 //! Two execution modes share the pool:
 //!
 //! * **Free-running** ([`Executor::submit`]): each participant task performs
 //!   a bounded burst of shared-memory operations per poll and goes back to
-//!   the queue, so instances interleave at operation granularity — the same
-//!   concurrency the thread-per-participant backend exhibits, minus the
-//!   spawn cost. The instance's [`CancelToken`] is polled before every
+//!   the queue, so instances interleave at operation granularity; with two
+//!   or more workers, tasks race genuinely in parallel on the shared
+//!   registers. The instance's [`CancelToken`] is polled before every
 //!   operation (every yield point), fail-stop abandonment converts to
-//!   [`Outcome::Lose`] exactly as in [`crate::drive_faulty`], and a
-//!   panicking task poisons only its own instance's ticket: the worker
-//!   thread survives and keeps polling everyone else.
+//!   [`Outcome::Lose`], and a panicking task poisons only its own instance's
+//!   ticket: the worker thread survives and keeps polling everyone else.
 //! * **Gated** ([`run_gated`]): the executor's implementation of the
-//!   schedule-gate contract. Instead of blocking a thread in
-//!   [`fle_model::ScheduledMemory::reach`], a task *parks* — ownership of
-//!   the suspended task moves into its gate slot — and the caller's control
-//!   loop (a faithful replica of [`crate::run_scheduled_faulty`]'s) wakes
-//!   exactly one task per grant by re-injecting it into the run queue. The
-//!   whole exploration stack (strategies, oracles, record/replay, ddmin)
-//!   drives the executor's interleavings unchanged, and the run is
-//!   deterministic given the scheduler's decisions and the seed,
-//!   independent of the worker count.
+//!   schedule-gate contract ([`crate::sched`]). A task *parks* at each
+//!   [`SchedulePoint`] — ownership of the suspended task moves into its gate
+//!   slot — and the caller's control loop wakes exactly one task per grant
+//!   by re-injecting it into the run queue. The whole exploration stack
+//!   (strategies, oracles, record/replay, ddmin) drives the executor's
+//!   interleavings, and the run is deterministic given the scheduler's
+//!   decisions and the seed, independent of the worker count.
 //!
 //! # Determinism ledger (gated mode)
 //!
-//! *Yield points*: every shared-memory operation plus the final return, the
-//! same [`SchedulePoint`]s the thread-per-participant scheduled runner
-//! gates. *Wake order*: one task at a time, chosen by the
-//! [`GateScheduler`] at quiescence (all live tasks parked), so the waiting
-//! set at each decision is a pure function of the grant history. *Seed
-//! policy*: participant coins come from
-//! [`SharedRegisters::handle_seeded`] (`seed + proc·0x9e37`, the simulator's
-//! convention), fault streams from the [`FaultPlan`] seed. Consequently a
-//! FIFO-gated executor run is outcome-identical to `fle_sim::SimMemory::
-//! run_all` and to [`crate::run_scheduled`], for any number of workers —
-//! the differential tests pin all three together.
+//! *Yield points*: every shared-memory operation plus the final return.
+//! *Wake order*: one task at a time, chosen by the [`GateScheduler`] at
+//! quiescence (all live tasks parked), so the waiting set at each decision
+//! is a pure function of the grant history. *Seed policy*: participant coins
+//! come from [`SharedRegisters::handle_seeded`] (`seed + proc·0x9e37`, the
+//! simulator's convention), fault streams from the [`FaultPlan`] seed.
+//! Consequently a FIFO-gated executor run is outcome-identical to
+//! `fle_sim::SimMemory::run_all` for any number of workers — the
+//! differential tests pin the two together.
 //!
-//! One documented divergence: a task that panics mid-poll is recorded as a
-//! *crashed* participant in gated mode (the scheduled runner re-raises the
-//! panic instead), because a pooled worker must outlive any one task.
+//! A task that panics mid-poll is recorded as a *crashed* participant in
+//! gated mode, because a pooled worker must outlive any one task.
 
 use crate::faulty::{FaultPlan, FaultStats, FaultyMemory};
 use crate::sched::{
@@ -210,9 +200,8 @@ struct InstanceShared {
     failure: Mutex<Option<Failure>>,
     done: crossbeam_channel::Sender<ExecResult>,
     pool: Arc<Pool>,
-    /// Whether fault counters are surfaced in the report. Mirrors the
-    /// concurrent runner's dispatch: a no-op plan reports
-    /// [`FaultStats::default`], not the decorator's op counts.
+    /// Whether fault counters are surfaced in the report: a no-op plan
+    /// reports [`FaultStats::default`], not the decorator's op counts.
     merge_faults: bool,
 }
 
@@ -321,10 +310,9 @@ struct GatedTask {
     pending: GatedPending,
 }
 
-/// The lifecycle of one gated participant slot. Unlike the scheduled
-/// runner's thread-backed slots there are no `Granted`/`Doomed` handshake
-/// states: granting re-injects the parked task (phase goes straight back to
-/// `Running`) and dooming drops it in place.
+/// The lifecycle of one gated participant slot: granting re-injects the
+/// parked task (phase goes straight back to `Running`) and dooming drops it
+/// in place.
 enum GatePhase {
     /// In the run queue or being polled by a worker.
     Running,
@@ -350,8 +338,7 @@ struct GateShared {
     /// can wait for quiescence.
     quiesce: Condvar,
     fault_totals: Mutex<FaultStats>,
-    /// Whether fault counters should be merged (a [`FaultPlan`] was given),
-    /// mirroring `run_scheduled_faulty`'s plan-present behavior.
+    /// Whether fault counters should be merged (a [`FaultPlan`] was given).
     merge_faults: bool,
 }
 
@@ -537,10 +524,9 @@ impl Executor {
     }
 
     /// Submit one free-running instance: `participants` run over the
-    /// registers of `namespace` (coins seeded exactly as
-    /// [`crate::run_concurrent`]'s, via [`SharedRegisters::handle`]), each
-    /// behind a [`FaultyMemory`] under `plan`, with `cancel` polled before
-    /// every shared-memory operation.
+    /// registers of `namespace` (coins seeded via
+    /// [`SharedRegisters::handle`]), each behind a [`FaultyMemory`] under
+    /// `plan`, with `cancel` polled before every shared-memory operation.
     ///
     /// Returns immediately; the [`InFlight`] ticket resolves when the last
     /// participant reaches a terminal state. Submission after shutdown
@@ -655,11 +641,11 @@ fn worker_loop(pool: &Arc<Pool>) {
     }
 }
 
-/// Poll one free-running task for up to `ops_per_poll` operations. The body
-/// mirrors [`crate::drive_faulty`] exactly — poll the cancel token, convert
-/// abandonment to [`Outcome::Lose`], step, perform — just sliced into
-/// resumable bursts. A panic anywhere in the protocol or memory poisons only
-/// this task's instance; the worker survives.
+/// Poll one free-running task for up to `ops_per_poll` operations: poll the
+/// cancel token, convert abandonment to [`Outcome::Lose`], step, perform —
+/// [`fle_model::drive`] sliced into resumable bursts. A panic anywhere in
+/// the protocol or memory poisons only this task's instance; the worker
+/// survives.
 fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
     let instance = Arc::clone(&task.instance);
     let polled = catch_unwind(AssertUnwindSafe(move || {
@@ -701,11 +687,11 @@ fn poll_free(pool: &Arc<Pool>, task: FreeTask) {
 }
 
 /// Poll one gated task: execute whatever its last grant authorized, then
-/// step the protocol to its next gate and park. The body mirrors
-/// [`crate::drive_scheduled_faulty`] — abandonment gates through
-/// [`SchedulePoint::Return`] before converting to [`Outcome::Lose`] — except
-/// that a panic records the participant as crashed instead of unwinding the
-/// caller (a pooled worker must outlive any one task).
+/// step the protocol to its next gate and park. Abandonment gates through
+/// [`SchedulePoint::Return`] (so the grant accounting stays consistent)
+/// before converting to [`Outcome::Lose`]; a panic records the participant
+/// as crashed instead of unwinding the caller (a pooled worker must outlive
+/// any one task).
 fn poll_gated(task: GatedTask) {
     let gate = Arc::clone(&task.gate);
     let slot = task.slot;
@@ -751,11 +737,17 @@ fn poll_gated(task: GatedTask) {
     }
 }
 
-/// Run one instance on the executor under an explicit schedule: the
-/// executor's implementation of the schedule-gate contract, semantically
-/// identical to [`crate::run_scheduled_faulty`] (same grant accounting,
-/// crash budget, degradation and stop rules) but hosted on pooled tasks
-/// instead of one thread per participant.
+/// Run one instance on the executor under an explicit schedule: every
+/// shared-memory operation gated, the interleaving chosen by `scheduler`.
+///
+/// Participants are sorted by processor id; `seed` feeds each participant's
+/// coin stream exactly as `fle_sim::SimMemory` would (`seed + proc·0x9e37`),
+/// so a [`FifoScheduler`] run is coin-for-coin comparable with the
+/// sequential simulator adapter. With a `plan`, each participant's handle
+/// is wrapped in a [`FaultyMemory`] whose faults are as deterministic as
+/// the interleaving, and [`ScheduledReport::faults`] carries the merged
+/// counters. The registers written under `namespace` are left in place for
+/// inspection; retire them with [`SharedRegisters::retire`] when done.
 ///
 /// Additionally polls `cancel` at every quiescent decision point: a tripped
 /// token aborts the run like a [`GateCommand::Stop`] (every parked task is
@@ -896,13 +888,18 @@ pub fn run_gated(
                 doom(&gate, &mut slots[slot_indices[pos]]);
             }
             command => {
-                // Illegal crashes degrade to the oldest waiting grant,
-                // mirroring the scheduled runner's tolerant replay
-                // semantics.
+                // Illegal crashes degrade to the oldest waiting grant and
+                // out-of-range grants clamp, mirroring the simulator's
+                // tolerant `ReplayAdversary`.
                 let pick = match command {
-                    GateCommand::Run(pick) => pick % waiting.len(),
+                    GateCommand::Run(pick) => pick.min(waiting.len() - 1),
                     _ => 0,
                 };
+                // Count the grant before recording the interval start so
+                // both ends of an interval use the post-increment counter,
+                // matching the simulator's convention — otherwise a loser
+                // returning at grant g and a winner starting at grant g+1
+                // would look concurrent to the linearizability check.
                 report.grants += 1;
                 report
                     .progress
@@ -925,9 +922,8 @@ pub fn run_gated(
     report
 }
 
-/// Doom one parked slot in place: merge its task's fault counters (matching
-/// the scheduled runner, which merges on the crash-verdict exit path too),
-/// drop the task, and record the crash.
+/// Doom one parked slot in place: merge its task's fault counters, drop the
+/// task, and record the crash.
 fn doom(gate: &GateShared, slot: &mut GateSlot) {
     if let Some(task) = slot.parked.take() {
         gate.merge(&task.memory.stats());
@@ -936,10 +932,9 @@ fn doom(gate: &GateShared, slot: &mut GateSlot) {
 }
 
 /// Run one instance fully sequentialized on the executor — the gated FIFO
-/// schedule, outcome-identical to `fle_sim::SimMemory::run_all` and to
-/// [`crate::run_scheduled`] with a [`FifoScheduler`] — and return its
-/// report. The deterministic face of the async backend, used by the
-/// differential suite.
+/// schedule, outcome-identical to `fle_sim::SimMemory::run_all` — and
+/// return its report. The deterministic face of the async backend, used by
+/// the differential suite.
 pub fn run_gated_fifo(
     executor: &Executor,
     registers: &Arc<SharedRegisters>,
@@ -965,7 +960,6 @@ pub fn run_gated_fifo(
 mod tests {
     use super::*;
     use crate::faulty::CrashSpec;
-    use crate::sched::run_scheduled_faulty;
     use crate::{election_participants, renaming_participants};
     use std::collections::BTreeSet;
 
@@ -1009,36 +1003,37 @@ mod tests {
     }
 
     #[test]
-    fn gated_fifo_matches_the_thread_per_participant_scheduled_runner() {
+    fn gated_fifo_elects_exactly_one_leader() {
         let executor = small_executor(2);
-        for seed in 0..4u64 {
-            let exec_registers = Arc::new(SharedRegisters::new(2));
-            let exec_report = run_gated_fifo(
-                &executor,
-                &exec_registers,
-                0,
-                seed,
-                election_participants(4),
+        let registers = Arc::new(SharedRegisters::new(2));
+        let report = run_gated_fifo(&executor, &registers, 0, 3, election_participants(4));
+        assert_eq!(report.progress.winners().len(), 1);
+        assert_eq!(report.progress.outcomes.len(), 4);
+        assert!(report.progress.crashed.is_empty());
+        assert!(!report.stopped);
+        assert!(report.grants > 0);
+    }
+
+    #[test]
+    fn gated_fifo_runs_participants_in_order() {
+        // Under FIFO, participant i's return grant precedes participant
+        // i+1's first grant: the run is genuinely sequential.
+        let executor = small_executor(2);
+        let registers = Arc::new(SharedRegisters::new(1));
+        let report = run_gated_fifo(&executor, &registers, 0, 9, election_participants(3));
+        assert_eq!(
+            report.progress.intervals[&ProcId(0)].0,
+            1,
+            "interval bounds count grants post-increment, like the simulator"
+        );
+        for i in 0..2usize {
+            let (_, end) = report.progress.intervals[&ProcId(i)];
+            let (start, _) = report.progress.intervals[&ProcId(i + 1)];
+            assert!(
+                end.expect("finished") < start,
+                "participant {i} must finish strictly before {} starts",
+                i + 1
             );
-            let sched_registers = Arc::new(SharedRegisters::new(2));
-            let sched_report = crate::run_scheduled(
-                &sched_registers,
-                0,
-                seed,
-                election_participants(4),
-                ScheduleConfig::for_participants(4),
-                &mut FifoScheduler,
-            );
-            assert_eq!(
-                exec_report.progress.outcomes, sched_report.progress.outcomes,
-                "seed {seed}"
-            );
-            assert_eq!(
-                exec_report.progress.intervals, sched_report.progress.intervals,
-                "seed {seed}"
-            );
-            assert_eq!(exec_report.grants, sched_report.grants, "seed {seed}");
-            assert_eq!(exec_report.stopped, sched_report.stopped);
         }
     }
 
@@ -1056,44 +1051,184 @@ mod tests {
     }
 
     #[test]
-    fn gated_round_robin_matches_the_scheduled_runner_under_faults() {
-        let executor = small_executor(4);
+    fn gated_round_robin_under_faults_is_deterministic_across_worker_counts() {
         let plan = FaultPlan::new(41)
             .with_collect_failures(400, 3)
             .with_crash(CrashSpec::lose_all(40));
-        let exec_registers = Arc::new(SharedRegisters::new(2));
-        let exec_report = run_gated(
+        let run = |workers: usize| {
+            let executor = small_executor(workers);
+            let registers = Arc::new(SharedRegisters::new(2));
+            run_gated(
+                &executor,
+                &registers,
+                0,
+                5,
+                election_participants(4),
+                ScheduleConfig::for_participants(4),
+                &mut RoundRobin { next: 0 },
+                Some(plan),
+                &CancelToken::none(),
+            )
+        };
+        let lone = run(1);
+        let pooled = run(4);
+        assert_eq!(lone.progress.outcomes, pooled.progress.outcomes);
+        assert_eq!(lone.progress.intervals, pooled.progress.intervals);
+        assert_eq!(lone.progress.crashed, pooled.progress.crashed);
+        assert_eq!(lone.grants, pooled.grants);
+        assert_eq!(lone.faults, pooled.faults);
+        assert!(lone.faults.collect_failures > 0, "the plan must fire");
+    }
+
+    #[test]
+    fn out_of_range_grants_clamp_to_the_last_waiting_participant() {
+        /// Always asks for a grant index past the end of the waiting set.
+        struct PastTheEnd;
+        impl GateScheduler for PastTheEnd {
+            fn pick(&mut self, _obs: &GateObservation<'_>) -> GateCommand {
+                GateCommand::Run(usize::MAX)
+            }
+        }
+        // Clamping (like the simulator's `ReplayAdversary`) runs the
+        // highest-id participant to completion first: its interval opens at
+        // grant 1 and closes before anyone else starts.
+        let executor = small_executor(2);
+        let registers = Arc::new(SharedRegisters::new(2));
+        let report = run_gated(
             &executor,
-            &exec_registers,
+            &registers,
             0,
-            5,
-            election_participants(4),
-            ScheduleConfig::for_participants(4),
-            &mut RoundRobin { next: 0 },
-            Some(plan),
+            3,
+            election_participants(3),
+            ScheduleConfig::for_participants(3),
+            &mut PastTheEnd,
+            None,
             &CancelToken::none(),
         );
-        let sched_registers = Arc::new(SharedRegisters::new(2));
-        let sched_report = run_scheduled_faulty(
-            &sched_registers,
+        let (start, end) = report.progress.intervals[&ProcId(2)];
+        assert_eq!(start, 1);
+        let end = end.expect("finished");
+        for proc in [ProcId(0), ProcId(1)] {
+            assert!(end < report.progress.intervals[&proc].0, "{proc:?}");
+        }
+        assert_eq!(report.progress.winners(), vec![ProcId(2)]);
+    }
+
+    #[test]
+    fn gated_crashes_remove_participants_and_respect_the_budget() {
+        /// Crashes processors 0 and 1 at the first opportunity, then FIFO.
+        struct CrashTwo;
+        impl GateScheduler for CrashTwo {
+            fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
+                for victim in [ProcId(0), ProcId(1)] {
+                    if obs.crash_budget_left > 0
+                        && obs.waiting.iter().any(|w| w.proc == victim)
+                        && !obs.progress.crashed.contains(&victim)
+                    {
+                        return GateCommand::Crash(victim);
+                    }
+                }
+                GateCommand::Run(0)
+            }
+        }
+        let executor = small_executor(2);
+        let registers = Arc::new(SharedRegisters::new(2));
+        // Budget 1: only the first crash lands, the second degrades.
+        let report = run_gated(
+            &executor,
+            &registers,
             0,
-            5,
+            2,
+            election_participants(5),
+            ScheduleConfig::for_participants(5).with_crash_budget(1),
+            &mut CrashTwo,
+            None,
+            &CancelToken::none(),
+        );
+        assert_eq!(report.progress.crashed, vec![ProcId(0)]);
+        assert_eq!(report.progress.outcomes.len(), 4, "survivors all return");
+        assert_eq!(report.progress.winners().len(), 1);
+    }
+
+    #[test]
+    fn gated_stop_crashes_everyone_and_marks_the_report() {
+        struct StopAfter(u64);
+        impl GateScheduler for StopAfter {
+            fn pick(&mut self, obs: &GateObservation<'_>) -> GateCommand {
+                if obs.grants_made >= self.0 {
+                    GateCommand::Stop
+                } else {
+                    GateCommand::Run(0)
+                }
+            }
+        }
+        let executor = small_executor(2);
+        let registers = Arc::new(SharedRegisters::new(2));
+        let report = run_gated(
+            &executor,
+            &registers,
+            0,
+            1,
             election_participants(4),
             ScheduleConfig::for_participants(4),
-            &mut RoundRobin { next: 0 },
-            Some(plan),
+            &mut StopAfter(3),
+            None,
+            &CancelToken::none(),
         );
+        assert!(report.stopped);
+        assert!(!report.budget_exhausted);
+        assert_eq!(report.grants, 3);
         assert_eq!(
-            exec_report.progress.outcomes,
-            sched_report.progress.outcomes
+            report.progress.outcomes.len() + report.progress.crashed.len(),
+            4
         );
-        assert_eq!(
-            exec_report.progress.intervals,
-            sched_report.progress.intervals
+        assert!(!report.progress.crashed.is_empty());
+    }
+
+    #[test]
+    fn gated_grant_budget_exhaustion_stops_the_run() {
+        let executor = small_executor(2);
+        let registers = Arc::new(SharedRegisters::new(2));
+        let report = run_gated(
+            &executor,
+            &registers,
+            0,
+            1,
+            election_participants(4),
+            ScheduleConfig::for_participants(4).with_max_grants(5),
+            &mut FifoScheduler,
+            None,
+            &CancelToken::none(),
         );
-        assert_eq!(exec_report.progress.crashed, sched_report.progress.crashed);
-        assert_eq!(exec_report.grants, sched_report.grants);
-        assert_eq!(exec_report.faults, sched_report.faults);
+        assert!(report.stopped);
+        assert!(report.budget_exhausted);
+        assert_eq!(report.grants, 5);
+        assert!(!report.progress.crashed.is_empty());
+    }
+
+    #[test]
+    fn a_panicking_gated_task_is_recorded_as_crashed() {
+        use fle_model::{Action, Response};
+        struct Bomb;
+        impl Protocol for Bomb {
+            fn step(&mut self, _response: Response) -> Action {
+                panic!("deliberate test panic");
+            }
+            fn adversary_view(&self) -> LocalStateView {
+                LocalStateView::new("bomb", "armed")
+            }
+        }
+        // Without the crash fallback the control loop would wait forever on
+        // the dead task (this test hanging = the fallback is broken); with
+        // it, the pool survives and the other participants finish.
+        let executor = small_executor(2);
+        let registers = Arc::new(SharedRegisters::new(1));
+        let mut participants = election_participants(2);
+        participants.push((ProcId(2), Box::new(Bomb)));
+        let report = run_gated_fifo(&executor, &registers, 0, 4, participants);
+        assert_eq!(report.progress.crashed, vec![ProcId(2)]);
+        assert_eq!(report.progress.outcomes.len(), 2);
+        assert_eq!(report.progress.winners().len(), 1);
     }
 
     #[test]
@@ -1298,13 +1433,14 @@ mod tests {
 
     #[test]
     fn a_panicking_task_poisons_only_its_ticket() {
-        // Processor 0 of namespace 13 panics at its second operation; every
-        // other instance on the same pool completes, and the workers survive
-        // to serve submissions made afterwards.
+        // Processor 0 of namespace 13 panics at its first operation (which
+        // every path reaches); every other instance on the same pool
+        // completes, and the workers survive to serve submissions made
+        // afterwards.
         let executor = small_executor(2);
         let registers = Arc::new(SharedRegisters::new(4));
         let plan =
-            FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 2).only_namespace(13));
+            FaultPlan::new(5).with_crash(CrashSpec::panic_proc(ProcId(0), 1).only_namespace(13));
         let poisoned = executor.submit(
             &registers,
             13,

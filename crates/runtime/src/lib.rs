@@ -1,4 +1,4 @@
-//! Real-thread execution backends for the paper's protocols.
+//! Real-concurrency execution backends for the paper's protocols.
 //!
 //! Where `fle-sim` gives deterministic, adversary-controlled executions, this
 //! crate runs the *same* [`fle_model::Protocol`] state machines with genuine
@@ -9,20 +9,23 @@
 //!   processor, point-to-point crossbeam channels, and the quorum-based
 //!   `communicate(propagate / collect)` primitive implemented with actual
 //!   request/reply traffic (ABND95).
-//! * [`SharedRegisters`] — the **in-process concurrent** backend: the
+//! * [`SharedRegisters`] — the **in-process shared-register** backend: the
 //!   registers as real shared state behind sharded locks, where `propagate`
-//!   is a locked merge and `collect` an atomic copy-on-write snapshot; see
-//!   [`shm`].
+//!   is a locked merge and `collect` an atomic copy-on-write snapshot (see
+//!   [`shm`]). Its participants are cooperative tasks on the [`Executor`]
+//!   worker pool (see [`exec`]), optionally behind seeded fault injection
+//!   ([`faulty`]).
 //!
-//! Asynchrony comes from the operating-system scheduler; additional jitter
-//! can be injected per message ([`RuntimeConfig::with_max_delay_micros`]) and
-//! a minority of nodes can be made unresponsive to exercise the `t < n/2`
-//! fault tolerance ([`RuntimeConfig::with_unresponsive`]).
+//! In the message-passing backend, asynchrony comes from the
+//! operating-system scheduler; additional jitter can be injected per message
+//! ([`RuntimeConfig::with_max_delay_micros`]) and a minority of nodes can be
+//! made unresponsive to exercise the `t < n/2` fault tolerance
+//! ([`RuntimeConfig::with_unresponsive`]).
 //!
-//! The concurrent backend can also run under **schedule control**
-//! ([`sched`], [`run_scheduled`]): participant threads park at
+//! The shared-register backend can also run under **schedule control**
+//! ([`sched`], [`run_gated`]): participant tasks park at
 //! [`fle_model::SchedulePoint`] gates and a pluggable [`GateScheduler`]
-//! chooses the interleaving, turning real-thread executions deterministic,
+//! chooses the interleaving, turning executions deterministic,
 //! adversary-drivable and replayable — the bridge `fle-explore` uses to hunt
 //! this backend with the same strategies and oracles as the simulator.
 //!
@@ -59,19 +62,15 @@ pub use exec::{
     run_gated, run_gated_fifo, ExecReport, ExecResult, Executor, ExecutorConfig, ExecutorStats,
     InFlight,
 };
-pub use faulty::{
-    drive_faulty, drive_scheduled_faulty, run_concurrent_cancellable, run_concurrent_faulty,
-    CrashMode, CrashSpec, CrashVictim, FaultPlan, FaultStats, FaultyMemory,
-};
+pub use faulty::{CrashMode, CrashSpec, CrashVictim, FaultPlan, FaultStats, FaultyMemory};
 use fle_model::{CancelToken, ProcId, Protocol};
 use node::{Envelope, NodeResult, NodeRunner};
 pub use report::RuntimeReport;
 pub use sched::{
-    run_scheduled, run_scheduled_faulty, FifoScheduler, GateCommand, GateObservation,
-    GateScheduler, ScheduleConfig, ScheduleController, ScheduledProgress, ScheduledReport,
-    WaitingAt,
+    FifoScheduler, GateCommand, GateObservation, GateScheduler, ScheduleConfig, ScheduledProgress,
+    ScheduledReport, WaitingAt,
 };
-pub use shm::{run_concurrent, GatedRegisterHandle, RegisterHandle, SharedRegisters};
+pub use shm::{RegisterHandle, SharedRegisters};
 use std::error::Error;
 use std::fmt;
 use std::thread;
