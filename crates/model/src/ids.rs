@@ -1,19 +1,86 @@
-//! Identifiers: processors, register instances, slots and election contexts.
+//! Identifiers: processors, register instances, slots and election contexts,
+//! plus the deterministic hash and per-processor coin streams derived from
+//! them.
 
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// The splitmix64 finalizer: mixes a key into a uniformly distributed value.
 ///
-/// Used wherever the workspace needs a *deterministic* hash — shard routing
-/// in the shared register bank and the service front-end — where the std
-/// hasher's documented freedom to change across releases would silently
-/// reshuffle placements.
+/// Used wherever the workspace needs a *deterministic* hash — coin streams,
+/// shard routing in the shared register bank and the service front-end —
+/// where the std hasher's documented freedom to change across releases would
+/// silently reshuffle placements.
 pub fn splitmix64(key: u64) -> u64 {
     let mut z = key.wrapping_add(0x9e37_79b9_7f4a_7c15);
     z = (z ^ (z >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
     z ^ (z >> 31)
+}
+
+/// The `k`-th raw coin word of processor `proc` under seed `seed`:
+/// `splitmix64(splitmix64(seed ^ splitmix64(p + 1)) ^ k)`.
+///
+/// The paper's processors draw randomness only from their own local coins,
+/// so a coin is a property of `(seed, proc, k)` alone — never of the
+/// schedule, the engine, the partition count or what other processors do.
+/// Every substrate (simulator, partitioned simulator, `SimMemory`, shared
+/// registers, threaded nodes) flips through [`CoinStream`], so the same
+/// seed yields the same flips everywhere.
+pub fn coin_word(seed: u64, proc: ProcId, k: u64) -> u64 {
+    let stream = splitmix64(seed ^ splitmix64(proc.index() as u64 + 1));
+    splitmix64(stream ^ k)
+}
+
+/// Turn a raw coin word into a biased boolean: the top 53 bits as a uniform
+/// float in `[0, 1)`, compared against `prob_one` (clamped to `[0, 1]`).
+pub fn coin_bool(word: u64, prob_one: f64) -> bool {
+    let unit = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
+    unit < prob_one.clamp(0.0, 1.0)
+}
+
+/// One processor's local coin: the successive words
+/// [`coin_word`]`(seed, proc, 0)`, `(…, 1)`, … in draw order.
+///
+/// A flip is [`coin_bool`] of the next word; a choice picks
+/// `choices[word % len]` (an empty choice list yields 0 without drawing).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CoinStream {
+    seed: u64,
+    proc: ProcId,
+    drawn: u64,
+}
+
+impl CoinStream {
+    /// The stream of processor `proc` under seed `seed`, before its first
+    /// draw.
+    pub fn new(seed: u64, proc: ProcId) -> Self {
+        CoinStream {
+            seed,
+            proc,
+            drawn: 0,
+        }
+    }
+
+    fn next_word(&mut self) -> u64 {
+        let word = coin_word(self.seed, self.proc, self.drawn);
+        self.drawn += 1;
+        word
+    }
+
+    /// Flip a coin that shows `true` with probability `prob_one`.
+    pub fn flip(&mut self, prob_one: f64) -> bool {
+        coin_bool(self.next_word(), prob_one)
+    }
+
+    /// Pick one of `choices` uniformly (0 for an empty list).
+    pub fn choose(&mut self, choices: &[u64]) -> u64 {
+        if choices.is_empty() {
+            0
+        } else {
+            choices[(self.next_word() % choices.len() as u64) as usize]
+        }
+    }
 }
 
 /// Identifier of a processor in the system.

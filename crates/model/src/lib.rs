@@ -79,7 +79,9 @@ pub use action::{Action, Outcome, Response};
 pub use backend::{
     drive, drive_cancellable, CancelToken, DriveMachine, DriveStep, Op, SharedMemory,
 };
-pub use ids::{splitmix64, ElectionContext, InstanceId, ProcId, Slot};
+pub use ids::{
+    coin_bool, coin_word, splitmix64, CoinStream, ElectionContext, InstanceId, ProcId, Slot,
+};
 pub use metrics::{ExecutionMetrics, ProcessMetrics};
 pub use partition::{PartitionMap, RouteKey};
 pub use protocol::{LocalStateView, Protocol};

@@ -32,8 +32,9 @@
 //! *Wake order*: one task at a time, chosen by the [`GateScheduler`] at
 //! quiescence (all live tasks parked), so the waiting set at each decision
 //! is a pure function of the grant history. *Seed policy*: participant coins
-//! come from [`SharedRegisters::handle_seeded`] (`seed + proc·0x9e37`, the
-//! simulator's convention), fault streams from the [`FaultPlan`] seed.
+//! come from [`SharedRegisters::handle`] (each processor's
+//! [`fle_model::CoinStream`], as in every substrate), fault streams from the
+//! [`FaultPlan`] seed.
 //! Consequently a FIFO-gated executor run is outcome-identical to
 //! `fle_sim::SimMemory::run_all` for any number of workers — the
 //! differential tests pin the two together.
@@ -741,9 +742,9 @@ fn poll_gated(task: GatedTask) {
 /// shared-memory operation gated, the interleaving chosen by `scheduler`.
 ///
 /// Participants are sorted by processor id; `seed` feeds each participant's
-/// coin stream exactly as `fle_sim::SimMemory` would (`seed + proc·0x9e37`),
-/// so a [`FifoScheduler`] run is coin-for-coin comparable with the
-/// sequential simulator adapter. With a `plan`, each participant's handle
+/// [`fle_model::CoinStream`] exactly as `fle_sim::SimMemory` would, so a
+/// [`FifoScheduler`] run is coin-for-coin comparable with the sequential
+/// simulator adapter. With a `plan`, each participant's handle
 /// is wrapped in a [`FaultyMemory`] whose faults are as deterministic as
 /// the interleaving, and [`ScheduledReport::faults`] carries the merged
 /// counters. The registers written under `namespace` are left in place for
@@ -776,7 +777,7 @@ pub fn run_gated(
 
     for (slot, (proc, protocol)) in participants.into_iter().enumerate() {
         let memory = FaultyMemory::new(
-            registers.handle_seeded(namespace, proc, seed),
+            registers.handle(namespace, proc, seed),
             proc,
             plan.map(|p| p.for_namespace(namespace)).unwrap_or_default(),
         );

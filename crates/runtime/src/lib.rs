@@ -81,7 +81,8 @@ use std::time::Duration;
 pub struct RuntimeConfig {
     /// Number of processors (threads).
     pub n: usize,
-    /// Seed from which each node derives its RNG.
+    /// Seed of every node's coin stream ([`fle_model::CoinStream`]) and of
+    /// its delivery-delay jitter.
     pub seed: u64,
     /// Maximum artificial delay, in microseconds, injected before handling
     /// each received message (0 disables injection).
@@ -111,7 +112,7 @@ impl RuntimeConfig {
         }
     }
 
-    /// Set the RNG seed.
+    /// Set the seed.
     #[must_use]
     pub fn with_seed(mut self, seed: u64) -> Self {
         self.seed = seed;

@@ -15,8 +15,8 @@ use crate::RuntimeConfig;
 use crossbeam_channel::{Receiver, Sender};
 use fle_model::wire::CallSeq;
 use fle_model::{
-    CollectCache, CollectedViews, InstanceId, Key, Outcome, ProcId, ProcessMetrics, Protocol,
-    ReplicaStore, SharedMemory, Value, View, WireMessage,
+    CoinStream, CollectCache, CollectedViews, InstanceId, Key, Outcome, ProcId, ProcessMetrics,
+    Protocol, ReplicaStore, SharedMemory, Value, View, WireMessage,
 };
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
@@ -85,7 +85,11 @@ pub struct NodeRunner {
     protocol: Option<Box<dyn Protocol + Send>>,
     done_tx: Sender<ProcId>,
     replica: ReplicaStore,
-    rng: ChaCha8Rng,
+    /// The protocol's local coin, shared with every other substrate.
+    coins: CoinStream,
+    /// Delivery-delay jitter. Not a coin: it models the network, so it keeps
+    /// a stream of its own.
+    jitter: ChaCha8Rng,
     metrics: ProcessMetrics,
     next_seq: CallSeq,
     outstanding: Outstanding,
@@ -110,8 +114,11 @@ impl NodeRunner {
         done_tx: Sender<ProcId>,
     ) -> Self {
         let unresponsive = config.unresponsive.contains(&me);
-        let rng = ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(me.index() as u64 * 0x9e37));
+        let jitter =
+            ChaCha8Rng::seed_from_u64(config.seed.wrapping_add(me.index() as u64 * 0x9e37));
         NodeRunner {
+            coins: CoinStream::new(config.seed, me),
+            jitter,
             me,
             config,
             senders,
@@ -119,7 +126,6 @@ impl NodeRunner {
             protocol,
             done_tx,
             replica: ReplicaStore::new(),
-            rng,
             metrics: ProcessMetrics::default(),
             next_seq: 0,
             outstanding: Outstanding::None,
@@ -169,7 +175,7 @@ impl NodeRunner {
 
     fn maybe_delay(&mut self) {
         if self.config.max_delay_micros > 0 {
-            let delay = self.rng.gen_range(0..=self.config.max_delay_micros);
+            let delay = self.jitter.gen_range(0..=self.config.max_delay_micros);
             if delay > 0 {
                 std::thread::sleep(Duration::from_micros(delay));
             }
@@ -326,16 +332,12 @@ impl SharedMemory for NodeRunner {
 
     fn flip(&mut self, prob_one: f64) -> bool {
         self.metrics.coin_flips += 1;
-        self.rng.gen_bool(prob_one.clamp(0.0, 1.0))
+        self.coins.flip(prob_one)
     }
 
     fn choose(&mut self, choices: &[u64]) -> u64 {
         self.metrics.coin_flips += 1;
-        if choices.is_empty() {
-            0
-        } else {
-            choices[self.rng.gen_range(0..choices.len())]
-        }
+        self.coins.choose(choices)
     }
 }
 

@@ -46,10 +46,9 @@
 //! ```
 
 use fle_model::{
-    splitmix64, CollectedViews, InstanceId, Key, ProcId, ProcessMetrics, SharedMemory, Value, View,
+    splitmix64, CoinStream, CollectedViews, InstanceId, Key, ProcId, ProcessMetrics, SharedMemory,
+    Value, View,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::{BTreeMap, HashMap};
 use std::sync::{Arc, Mutex};
 
@@ -158,29 +157,16 @@ impl SharedRegisters {
             .sum()
     }
 
-    /// A [`SharedMemory`] handle for processor `me` of `namespace`, with its
-    /// coin flips seeded from `seed` (mixed with the namespace, so parallel
-    /// instances sharing one bank draw independent streams).
+    /// A [`SharedMemory`] handle for processor `me` of `namespace`, flipping
+    /// `me`'s [`CoinStream`] under `seed` — the same coins as every other
+    /// substrate, whatever the namespace (instances that share a bank and
+    /// want independent coins use distinct seeds).
     pub fn handle(self: &Arc<Self>, namespace: u64, me: ProcId, seed: u64) -> RegisterHandle {
-        self.handle_seeded(namespace, me, seed.wrapping_add(splitmix64(namespace)))
-    }
-
-    /// A handle whose coin stream ignores the namespace: seeded exactly like
-    /// `fle_sim::SimMemory` (`seed + me·0x9e37`). Used by the
-    /// schedule-controlled runner ([`crate::run_gated`]) so that a fully
-    /// sequentialized gated run draws the same coins as the sequential
-    /// simulator adapter and the two can be compared outcome-for-outcome.
-    pub fn handle_seeded(
-        self: &Arc<Self>,
-        namespace: u64,
-        me: ProcId,
-        seed: u64,
-    ) -> RegisterHandle {
         RegisterHandle {
             registers: Arc::clone(self),
             namespace,
             me,
-            rng: ChaCha8Rng::seed_from_u64(seed.wrapping_add(me.index() as u64 * 0x9e37)),
+            coins: CoinStream::new(seed, me),
             metrics: ProcessMetrics::default(),
         }
     }
@@ -193,7 +179,7 @@ pub struct RegisterHandle {
     registers: Arc<SharedRegisters>,
     namespace: u64,
     me: ProcId,
-    rng: ChaCha8Rng,
+    coins: CoinStream,
     metrics: ProcessMetrics,
 }
 
@@ -228,16 +214,12 @@ impl SharedMemory for RegisterHandle {
 
     fn flip(&mut self, prob_one: f64) -> bool {
         self.metrics.coin_flips += 1;
-        self.rng.gen_bool(prob_one.clamp(0.0, 1.0))
+        self.coins.flip(prob_one)
     }
 
     fn choose(&mut self, choices: &[u64]) -> u64 {
         self.metrics.coin_flips += 1;
-        if choices.is_empty() {
-            0
-        } else {
-            choices[self.rng.gen_range(0..choices.len())]
-        }
+        self.coins.choose(choices)
     }
 }
 

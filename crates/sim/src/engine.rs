@@ -1,11 +1,14 @@
-//! The simulation engine: event loop, network, quorum engine and adversary
-//! interface.
+//! The sequential simulation engine: the event loop and the adversary
+//! interface. Per-processor work — steps, coins, quorums, deliveries,
+//! crashes — is the kernel shared with the partitioned engine; this engine
+//! makes every sent message deliverable at once.
 //!
 //! # Per-event cost
 //!
 //! The scheduling hot path is incremental: the engine maintains the set of
-//! enabled events (step-ready processors in an [`IndexedBitSet`], deliverable
-//! messages in an [`OrderedMsgSet`] over a [`MessageSlab`]) as state changes,
+//! enabled events (step-ready processors in an [`crate::IndexedBitSet`],
+//! deliverable messages in an [`crate::OrderedMsgSet`] over a
+//! [`crate::MessageSlab`]) as state changes,
 //! so offering the adversary its choices costs O(1) per event plus O(log)
 //! index maintenance — not a scan over all `n` processes and every in-flight
 //! message as in the original implementation. Two reference modes exist for
@@ -31,19 +34,11 @@
 use crate::adversary::Adversary;
 use crate::arena::SimArena;
 use crate::error::SimError;
-use crate::event_set::{IndexedBitSet, OrderedMsgSet};
-use crate::message::{InFlightMessage, MessageId, MessageSlab};
-use crate::observation::{
-    Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
-};
-use crate::process::{PendingWork, SimProcess};
+use crate::kernel::{Kernel, Outbox};
+use crate::message::{InFlightMessage, MessageId};
+use crate::observation::{Decision, EnabledEvent, EnabledEvents, SystemObservation};
 use crate::report::ExecutionReport;
-use crate::trace::{Trace, TraceEvent};
-use fle_model::{Action, CollectedViews, Key, ProcId, Protocol, Response, Value, WireMessage};
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
-use std::collections::BTreeMap;
-use std::sync::Arc;
+use fle_model::{ProcId, Protocol, RouteKey, WireMessage};
 
 /// Configuration of a simulated execution.
 #[derive(Debug, Clone)]
@@ -53,7 +48,7 @@ pub struct SimConfig {
     /// Failure budget `t`. Defaults to `⌈n/2⌉ − 1`, the maximum the paper's
     /// algorithms tolerate.
     pub crash_budget: usize,
-    /// Seed for every random choice made by the protocols.
+    /// Seed of every processor's coin stream ([`fle_model::CoinStream`]).
     pub seed: u64,
     /// Upper bound on executed events, to turn accidental livelock into an
     /// error instead of a hang.
@@ -76,15 +71,11 @@ pub struct SimConfig {
     /// schedules, same reports); kept as the payload-cost baseline and as
     /// the reference half of the payload differential tests.
     pub naive_payloads: bool,
-    /// Number of partitions for the partitioned parallel engine
-    /// ([`crate::ParallelSimulator`]). `0` (the default) means "sequential
-    /// legacy mode": the engine draws all coins from one global
-    /// seed-derived stream, byte-identical to every pre-partitioning
-    /// release. Any value ≥ 1 switches coin flips to per-processor
-    /// streams derived from `(seed, proc)` (see [`crate::partition`]),
-    /// which are identical for every partition count — including 1 — so
-    /// sequential runs with `partitions = 1` are differential references
-    /// for partitioned runs.
+    /// Number of partitions of the partitioned parallel engine
+    /// ([`crate::ParallelSimulator`]); `0`, the default, means 1. The
+    /// sequential [`Simulator`] ignores it: coins are per-processor streams
+    /// (see [`fle_model::coin_word`]) in every engine, so a sequential run
+    /// is a differential reference for a partitioned run of any count.
     pub partitions: usize,
 }
 
@@ -160,11 +151,9 @@ impl SimConfig {
         self
     }
 
-    /// Run with `partitions` per-partition engines (clamped to `1..=n`;
-    /// `0` keeps the legacy single-stream sequential mode). Setting any
-    /// value ≥ 1 also switches the sequential [`Simulator`] to the
-    /// partition-count-independent per-processor coin streams, making it a
-    /// differential reference for [`crate::ParallelSimulator`].
+    /// Split a [`crate::ParallelSimulator`] run into `partitions` engines
+    /// (at most `n`; `0` means 1). Has no effect on the sequential
+    /// [`Simulator`].
     #[must_use]
     pub fn with_partitions(mut self, partitions: usize) -> Self {
         self.partitions = partitions.min(self.n);
@@ -192,38 +181,45 @@ fn default_event_budget(n: usize) -> u64 {
 /// [`Simulator::add_participant`], and call [`Simulator::run`] with an
 /// [`Adversary`].
 pub struct Simulator {
-    config: SimConfig,
-    processes: Vec<SimProcess>,
-    /// In-flight messages, slot-addressed with a free-list.
-    in_flight: MessageSlab,
-    /// Step-enabled processors, ascending by processor id.
-    enabled_steps: IndexedBitSet,
-    /// Deliverable messages (recipient not crashed), ascending by message id.
-    enabled_msgs: OrderedMsgSet,
-    /// Mirror of the slab keyed by message id; maintained only in naive mode,
-    /// where the per-event rebuild iterates it exactly like the historical
-    /// `BTreeMap<MessageId, InFlightMessage>` scan.
-    naive_index: Option<BTreeMap<MessageId, u32>>,
-    /// Live (registered, not crashed, not returned) participants.
-    live_participants: usize,
-    next_message_id: u64,
+    /// All `n` processors, their messages and the enabled-event indexes.
+    core: Kernel,
+    outbox: Immediate,
     events_executed: u64,
-    crashes: Vec<ProcId>,
-    /// Reusable buffer for slots retired in [`Simulator::crash`], so a crash
-    /// does not allocate on the hot path.
-    scratch_slots: Vec<u32>,
-    /// Whether the buffers return to the thread-local arena pool on drop
-    /// (set by [`Simulator::new`]; explicit arenas use
-    /// [`Simulator::into_arena`] instead).
-    pooled: bool,
-    rng: ChaCha8Rng,
-    report: ExecutionReport,
-    /// Persistent adversary observation, updated incrementally as processors
-    /// change state so that each event costs O(1) observation maintenance.
-    observation: SystemObservation,
-    /// Pool-recycle count of the arena this simulator was built from
-    /// (restored into the arena on extraction; see [`SimArena::reuses`]).
-    arena_reuses: u64,
+}
+
+/// The sequential engine's [`Outbox`]: a sent message gets the next message
+/// id and is deliverable at once.
+struct Immediate {
+    next_message_id: u64,
+    /// The current event count, stamped on sent messages.
+    now: u64,
+}
+
+impl Outbox for Immediate {
+    fn send(
+        &mut self,
+        kernel: &mut Kernel,
+        _key: RouteKey,
+        from: ProcId,
+        to: ProcId,
+        payload: WireMessage,
+    ) {
+        let id = MessageId(self.next_message_id);
+        self.next_message_id += 1;
+        let is_request = payload.is_request();
+        let slot = kernel.admit(InFlightMessage {
+            id,
+            from,
+            to,
+            payload,
+            sent_at: self.now,
+        });
+        if is_request {
+            // The request waits in the sender's own slab, so its call can
+            // purge it once the quorum is reached.
+            kernel.file(from, slot);
+        }
+    }
 }
 
 impl Simulator {
@@ -237,7 +233,7 @@ impl Simulator {
     /// is indistinguishable from a freshly allocated one.
     pub fn new(config: SimConfig) -> Self {
         let mut sim = Simulator::from_arena(config, SimArena::take_pooled());
-        sim.pooled = true;
+        sim.core.pooled = true;
         sim
     }
 
@@ -245,68 +241,13 @@ impl Simulator {
     /// [`SimArena`]); recover them afterwards with
     /// [`Simulator::into_arena`].
     pub fn from_arena(config: SimConfig, arena: SimArena) -> Self {
-        let SimArena {
-            mut slab,
-            mut enabled_msgs,
-            mut enabled_steps,
-            mut processes,
-            mut crashes,
-            mut scratch_slots,
-            mut observations,
-            reuses,
-        } = arena;
-        slab.clear();
-        enabled_msgs.clear();
-        enabled_steps.reset(config.n);
-        crashes.clear();
-        scratch_slots.clear();
-        for (index, process) in processes.iter_mut().enumerate().take(config.n) {
-            process.recycle(ProcId(index));
-        }
-        processes.truncate(config.n);
-        while processes.len() < config.n {
-            processes.push(SimProcess::replica_only(ProcId(processes.len())));
-        }
-        observations.clear();
-        observations.extend((0..config.n).map(|i| ProcessObservation {
-            proc: ProcId(i),
-            phase: ProcessPhase::Idle,
-            local_state: None,
-        }));
-
-        let rng = ChaCha8Rng::seed_from_u64(config.seed);
-        let trace = if config.record_trace {
-            Trace::recording()
-        } else {
-            Trace::disabled()
-        };
-        let observation = SystemObservation {
-            n: config.n,
-            events_executed: 0,
-            crash_budget_left: config.crash_budget,
-            processes: observations,
-        };
-        let naive_index = config.naive_event_set.then(BTreeMap::new);
         Simulator {
-            enabled_steps,
-            enabled_msgs,
-            naive_index,
-            live_participants: 0,
-            config,
-            processes,
-            in_flight: slab,
-            next_message_id: 0,
-            events_executed: 0,
-            crashes,
-            scratch_slots,
-            pooled: false,
-            rng,
-            report: ExecutionReport {
-                trace,
-                ..ExecutionReport::default()
+            core: Kernel::new(&config, 0..config.n, arena, true),
+            outbox: Immediate {
+                next_message_id: 0,
+                now: 0,
             },
-            observation,
-            arena_reuses: reuses,
+            events_executed: 0,
         }
     }
 
@@ -314,40 +255,14 @@ impl Simulator {
     /// arena pool when it was created (0 = cold allocation). See
     /// [`SimArena::reuses`].
     pub fn arena_reuses(&self) -> u64 {
-        self.arena_reuses
+        self.core.arena_reuses
     }
 
     /// Recover the engine buffers for the next trial (counterpart of
     /// [`Simulator::from_arena`]).
     pub fn into_arena(mut self) -> SimArena {
-        self.pooled = false;
-        self.extract_arena()
-    }
-
-    fn extract_arena(&mut self) -> SimArena {
-        let mut arena = SimArena {
-            slab: std::mem::take(&mut self.in_flight),
-            enabled_msgs: std::mem::take(&mut self.enabled_msgs),
-            enabled_steps: std::mem::take(&mut self.enabled_steps),
-            processes: std::mem::take(&mut self.processes),
-            crashes: std::mem::take(&mut self.crashes),
-            scratch_slots: std::mem::take(&mut self.scratch_slots),
-            observations: std::mem::take(&mut self.observation.processes),
-            reuses: self.arena_reuses,
-        };
-        // Empty everything now (keeping capacity) rather than lazily on next
-        // reuse: an arena parked in the thread-local pool must hold only
-        // buffer capacity, not the last trial's protocol boxes, replica
-        // contents and undelivered message payloads.
-        arena.slab.clear();
-        arena.enabled_msgs.clear();
-        arena.crashes.clear();
-        arena.scratch_slots.clear();
-        arena.observations.clear();
-        for process in &mut arena.processes {
-            process.recycle(process.id);
-        }
-        arena
+        self.core.pooled = false;
+        self.core.park()
     }
 
     /// Register `proc` as a participant running `protocol`.
@@ -360,22 +275,7 @@ impl Simulator {
         proc: ProcId,
         protocol: Box<dyn Protocol>,
     ) -> Result<(), SimError> {
-        if proc.index() >= self.config.n {
-            return Err(SimError::InvalidParticipant {
-                proc,
-                reason: format!("system only has {} processors", self.config.n),
-            });
-        }
-        if self.processes[proc.index()].participates() {
-            return Err(SimError::InvalidParticipant {
-                proc,
-                reason: "already registered".to_string(),
-            });
-        }
-        self.processes[proc.index()].participate(protocol);
-        self.live_participants += 1;
-        self.refresh_process_observation(proc);
-        Ok(())
+        self.core.try_add_participant(proc, protocol)
     }
 
     /// Register `proc` as a participant running `protocol`.
@@ -390,7 +290,7 @@ impl Simulator {
 
     /// The configuration this simulator was built with.
     pub fn config(&self) -> &SimConfig {
-        &self.config
+        &self.core.config
     }
 
     /// Run the execution to completion under the given adversary.
@@ -429,10 +329,10 @@ impl Simulator {
     /// # Errors
     /// Same conditions as [`Simulator::run`].
     pub fn step_once(&mut self, adversary: &mut dyn Adversary) -> Result<bool, SimError> {
-        if self.live_participants == 0 {
+        if self.core.live == 0 {
             return Ok(false);
         }
-        if self.events_executed >= self.config.max_events {
+        if self.events_executed >= self.core.config.max_events {
             return Err(self.budget_exhausted());
         }
 
@@ -440,11 +340,14 @@ impl Simulator {
         // decision — the historical cost profile the benchmarks compare
         // against. The rebuilt list is identical, element for element, to
         // the incremental view, so schedules and reports do not change.
-        let snapshot: Option<Vec<EnabledEvent>> =
-            self.config.naive_event_set.then(|| self.naive_snapshot());
+        let snapshot: Option<Vec<EnabledEvent>> = self
+            .core
+            .config
+            .naive_event_set
+            .then(|| self.naive_snapshot());
         let enabled_len = match &snapshot {
             Some(events) => events.len(),
-            None => self.enabled_steps.len() + self.enabled_msgs.len(),
+            None => self.core.enabled_len(),
         };
 
         if enabled_len == 0 {
@@ -456,25 +359,23 @@ impl Simulator {
             return Err(self.budget_exhausted());
         }
 
-        self.refresh_observation_header();
+        self.core.refresh_header(self.events_executed);
 
-        if self.config.validate_event_set {
+        if self.core.config.validate_event_set {
             self.assert_event_set_matches_brute_force();
         }
 
         let decision = {
             let enabled = match &snapshot {
                 Some(events) => EnabledEvents::from_slice(events),
-                None => {
-                    EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight)
-                }
+                None => self.core.enabled(),
             };
-            adversary.decide(&self.observation, &enabled)
+            adversary.decide(self.observation(), &enabled)
         };
 
         match decision {
             Decision::Crash(victim) => {
-                self.crash(victim)?;
+                self.core.crash(victim)?;
             }
             Decision::Schedule(index) => {
                 let resolved = match &snapshot {
@@ -482,6 +383,7 @@ impl Simulator {
                         let slot = match event {
                             EnabledEvent::Deliver { id, .. } => Some(
                                 *self
+                                    .core
                                     .naive_index
                                     .as_ref()
                                     .expect("naive index exists in naive mode")
@@ -492,7 +394,7 @@ impl Simulator {
                         };
                         (event, slot)
                     }),
-                    None => self.resolve_live(index),
+                    None => self.core.resolve(index),
                 };
                 let Some((event, slot)) = resolved else {
                     return Err(SimError::InvalidDecision {
@@ -501,14 +403,25 @@ impl Simulator {
                         ),
                     });
                 };
-                self.execute(event, slot);
+                self.events_executed += 1;
+                self.outbox.now = self.events_executed;
+                match event {
+                    EnabledEvent::Step(proc) => {
+                        self.core
+                            .execute_step(proc, self.events_executed, &mut self.outbox);
+                    }
+                    EnabledEvent::Deliver { .. } => {
+                        let slot = slot.expect("delivery events carry their slab slot");
+                        self.core.execute_delivery(slot, &mut self.outbox);
+                    }
+                }
             }
         }
         // Re-sync the observation's scalar header so callers inspecting the
         // simulator *between* decisions (online oracles) see the post-event
         // event count and crash budget, not values one decision stale. The
         // adversary path is unaffected: its refresh above still runs first.
-        self.refresh_observation_header();
+        self.core.refresh_header(self.events_executed);
         Ok(true)
     }
 
@@ -522,13 +435,26 @@ impl Simulator {
     /// enforcement, adversary observation) is unaffected — but the taken
     /// outcomes, metrics and trace are gone from any later report.
     pub fn finish(&mut self) -> ExecutionReport {
-        self.finalize();
-        std::mem::take(&mut self.report)
+        let report = &mut self.core.report;
+        report.events_executed = self.events_executed;
+        report.crashed = if self.core.live == 0 {
+            // The crash list is only needed by the report from here on; move
+            // it instead of cloning (the drained engine copy is never read
+            // again on a completed run).
+            std::mem::take(&mut self.core.crashes)
+        } else {
+            // Partial finish: the engine keeps stepping afterwards, and both
+            // the crash-budget check and the adversary observation read
+            // the crash list — draining it here would hand the adversary a
+            // second budget and lose the early crashes from later reports.
+            self.core.crashes.clone()
+        };
+        std::mem::take(report)
     }
 
     /// Whether every live participant has returned (the run is over).
     pub fn is_complete(&self) -> bool {
-        self.live_participants == 0
+        self.core.live == 0
     }
 
     /// Number of events executed so far.
@@ -542,13 +468,16 @@ impl Simulator {
     /// [`Simulator::events_executed`] and the observation while the run is
     /// still going.
     pub fn report_so_far(&self) -> &ExecutionReport {
-        &self.report
+        &self.core.report
     }
 
     /// The adversary-visible system observation as of the last executed
     /// event.
     pub fn observation(&self) -> &SystemObservation {
-        &self.observation
+        self.core
+            .observation
+            .as_ref()
+            .expect("the sequential engine always maintains an observation")
     }
 
     /// Convenience wrapper: run and panic on simulator errors. Useful in
@@ -560,65 +489,38 @@ impl Simulator {
         self.run(adversary).expect("simulation failed")
     }
 
-    /// Whether the incremental enabled-event indexes are maintained: always,
-    /// except in pure naive mode, which keeps only its own id-ordered map so
-    /// the recorded naive-vs-incremental speedup measures the historical cost
-    /// profile without paying for both bookkeeping schemes. Validation mode
-    /// needs the incremental indexes even when naive mode is on.
-    fn maintains_incremental(&self) -> bool {
-        !self.config.naive_event_set || self.config.validate_event_set
-    }
-
     fn budget_exhausted(&self) -> SimError {
         SimError::EventBudgetExhausted {
-            budget: self.config.max_events,
-            unfinished: self
-                .processes
-                .iter()
-                .filter(|p| p.is_live_participant())
-                .map(|p| p.id)
-                .collect(),
+            budget: self.core.config.max_events,
+            unfinished: self.core.live_participants().collect(),
         }
-    }
-
-    /// Resolve an index into the live view: steps (ascending processor id)
-    /// first, then deliveries (ascending message id) with their slab slot.
-    fn resolve_live(&self, index: usize) -> Option<(EnabledEvent, Option<u32>)> {
-        if index < self.enabled_steps.len() {
-            let proc = ProcId(self.enabled_steps.select(index)?);
-            return Some((EnabledEvent::Step(proc), None));
-        }
-        let (_, slot) = self.enabled_msgs.select(index - self.enabled_steps.len())?;
-        let message = self
-            .in_flight
-            .get(slot)
-            .expect("enabled message indexes a live slab slot");
-        Some((message.to_event(), Some(slot)))
     }
 
     /// The historical per-event rebuild: scan every processor, then walk the
     /// id-ordered message index, skipping messages to crashed recipients.
     fn naive_snapshot(&self) -> Vec<EnabledEvent> {
         let mut events = Vec::new();
-        for process in &self.processes {
+        for process in &self.core.processes {
             if process.step_enabled() {
                 events.push(EnabledEvent::Step(process.id));
             }
         }
         let index = self
+            .core
             .naive_index
             .as_ref()
             .expect("naive index exists in naive mode");
         for (&id, &slot) in index {
             let message = self
-                .in_flight
+                .core
+                .slab
                 .get(slot)
                 .expect("naive index mirrors the slab");
             debug_assert_eq!(message.id, id);
             // Messages to crashed processors remain deliverable (they are
             // simply ignored on arrival), but there is no point offering them
             // to the adversary: delivering them can never unblock anyone.
-            if !self.processes[message.to.index()].crashed {
+            if !self.core.process(message.to).crashed {
                 events.push(message.to_event());
             }
         }
@@ -630,8 +532,8 @@ impl Simulator {
     /// list is served from the naive rebuild instead (same contents, same
     /// order).
     pub fn enabled_events_vec(&self) -> Vec<EnabledEvent> {
-        if self.maintains_incremental() {
-            EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.in_flight).to_vec()
+        if self.core.incremental {
+            self.core.enabled().to_vec()
         } else {
             self.naive_snapshot()
         }
@@ -642,16 +544,18 @@ impl Simulator {
     /// indexes. Reference implementation for the differential tests.
     pub fn enabled_events_brute_force(&self) -> Vec<EnabledEvent> {
         let mut events: Vec<EnabledEvent> = self
+            .core
             .processes
             .iter()
             .filter(|p| p.step_enabled())
             .map(|p| EnabledEvent::Step(p.id))
             .collect();
         let mut deliveries: Vec<&InFlightMessage> = self
-            .in_flight
+            .core
+            .slab
             .iter()
             .map(|(_, message)| message)
-            .filter(|message| !self.processes[message.to.index()].crashed)
+            .filter(|message| !self.core.process(message.to).crashed)
             .collect();
         deliveries.sort_by_key(|message| message.id);
         events.extend(deliveries.into_iter().map(InFlightMessage::to_event));
@@ -667,503 +571,14 @@ impl Simulator {
             self.events_executed
         );
     }
-
-    /// Update the scalar fields of the persistent observation. The
-    /// per-processor entries are refreshed incrementally by
-    /// [`Simulator::refresh_process_observation`] whenever a processor's
-    /// state changes, which keeps the per-event cost independent of `n`.
-    fn refresh_observation_header(&mut self) {
-        self.observation.events_executed = self.events_executed;
-        self.observation.crash_budget_left =
-            self.config.crash_budget.saturating_sub(self.crashes.len());
-    }
-
-    /// Rebuild the observation entry for processor `p` and re-sync its
-    /// membership in the step-enabled index. Called whenever the processor
-    /// steps, receives a delivery, crashes or is registered.
-    fn refresh_process_observation(&mut self, p: ProcId) {
-        let process = &self.processes[p.index()];
-        let step_enabled = process.step_enabled();
-        if self.maintains_incremental() {
-            self.enabled_steps.set(p.index(), step_enabled);
-        }
-        let phase = if process.crashed {
-            ProcessPhase::Crashed
-        } else if !process.participates() {
-            ProcessPhase::Idle
-        } else {
-            match &process.pending {
-                PendingWork::NotStarted => ProcessPhase::NotStarted,
-                PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_) => {
-                    ProcessPhase::StepReady
-                }
-                PendingWork::AwaitingAcks { .. } | PendingWork::AwaitingViews { .. } => {
-                    ProcessPhase::AwaitingQuorum
-                }
-                PendingWork::Finished(_) => ProcessPhase::Finished,
-            }
-        };
-        self.observation.processes[p.index()] = ProcessObservation {
-            proc: p,
-            phase,
-            local_state: process
-                .protocol
-                .as_ref()
-                .map(|proto| proto.adversary_view()),
-        };
-    }
-
-    fn crash(&mut self, victim: ProcId) -> Result<(), SimError> {
-        if self.crashes.len() >= self.config.crash_budget {
-            return Err(SimError::CrashBudgetExceeded {
-                victim,
-                budget: self.config.crash_budget,
-            });
-        }
-        if victim.index() >= self.config.n {
-            return Err(SimError::InvalidDecision {
-                reason: format!("cannot crash non-existent processor {victim}"),
-            });
-        }
-        if self.processes[victim.index()].crashed {
-            return Err(SimError::InvalidDecision {
-                reason: format!("{victim} is already crashed"),
-            });
-        }
-        if self.processes[victim.index()].is_live_participant() {
-            self.live_participants -= 1;
-        }
-        self.processes[victim.index()].crashed = true;
-        self.crashes.push(victim);
-        // Deliveries to the victim can never unblock anyone now; retire them
-        // from the enabled set (the messages stay in flight, matching the
-        // historical semantics of filtering them out of every rebuild).
-        if self.maintains_incremental() {
-            let mut doomed = std::mem::take(&mut self.scratch_slots);
-            doomed.clear();
-            doomed.extend(
-                self.enabled_msgs
-                    .iter()
-                    .filter(|&(_, slot)| {
-                        self.in_flight
-                            .get(slot)
-                            .expect("enabled message indexes a live slab slot")
-                            .to
-                            == victim
-                    })
-                    .map(|(_, slot)| slot),
-            );
-            for &slot in &doomed {
-                self.enabled_msgs.remove_slot(slot);
-            }
-            self.scratch_slots = doomed;
-        }
-        self.report.trace.push(TraceEvent::Crash { proc: victim });
-        self.refresh_process_observation(victim);
-        Ok(())
-    }
-
-    fn execute(&mut self, event: EnabledEvent, slot: Option<u32>) {
-        self.events_executed += 1;
-        match event {
-            EnabledEvent::Step(proc) => {
-                self.execute_step(proc);
-                self.refresh_process_observation(proc);
-            }
-            EnabledEvent::Deliver { to, .. } => {
-                let slot = slot.expect("delivery events carry their slab slot");
-                self.execute_delivery(slot);
-                self.refresh_process_observation(to);
-            }
-        }
-    }
-
-    fn execute_step(&mut self, proc: ProcId) {
-        self.report.trace.push(TraceEvent::Step { proc });
-        let index = proc.index();
-
-        // Take the ready response out of the pending state.
-        let response = {
-            let process = &mut self.processes[index];
-            if process.started_at.is_none() {
-                process.started_at = Some(self.events_executed);
-                self.report
-                    .intervals
-                    .insert(proc, (self.events_executed, None));
-            }
-            match std::mem::replace(&mut process.pending, PendingWork::NotStarted) {
-                PendingWork::NotStarted => Response::Start,
-                PendingWork::LocalResponse(r) | PendingWork::ResponseReady(r) => r,
-                other => {
-                    // step_enabled() guarantees this cannot happen; restore and bail.
-                    process.pending = other;
-                    return;
-                }
-            }
-        };
-
-        let action = {
-            let process = &mut self.processes[index];
-            let protocol = process
-                .protocol
-                .as_mut()
-                .expect("only participants take steps");
-            protocol.step(response)
-        };
-
-        self.apply_action(proc, action);
-    }
-
-    fn apply_action(&mut self, proc: ProcId, action: Action) {
-        let quorum = self.config.quorum();
-        let n = self.config.n;
-        let index = proc.index();
-        match action {
-            Action::Propagate { entries } => {
-                let seq = self.processes[index].fresh_seq();
-                self.processes[index].replica.apply_all(&entries);
-                {
-                    let metrics = self.report.metrics.proc_mut(proc);
-                    metrics.communicate_calls += 1;
-                }
-                let mut seen = fle_model::BitRow::new();
-                seen.set(index);
-                self.processes[index].call_msgs.clear();
-                self.processes[index].pending = PendingWork::AwaitingAcks {
-                    seq,
-                    acked: 1,
-                    seen,
-                };
-                // One shared payload for the whole broadcast: every send is a
-                // refcount bump. The naive baseline clones the entry list per
-                // target instead (the historical cost profile).
-                let shared: Arc<[(Key, Value)]> = entries.into();
-                for target in 0..n {
-                    if target == index {
-                        continue;
-                    }
-                    let entries = if self.config.naive_payloads {
-                        // One fresh copy per target — the historical cost.
-                        Arc::from(&*shared)
-                    } else {
-                        shared.clone()
-                    };
-                    self.send(
-                        proc,
-                        ProcId(target),
-                        WireMessage::Propagate { seq, entries },
-                    );
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Collect { instance } => {
-                let seq = self.processes[index].fresh_seq();
-                let own_view = if self.config.naive_payloads {
-                    Arc::new(self.processes[index].replica.view_of(instance))
-                } else {
-                    self.processes[index].replica.view_arc(instance)
-                };
-                {
-                    let metrics = self.report.metrics.proc_mut(proc);
-                    metrics.communicate_calls += 1;
-                }
-                let mut seen = fle_model::BitRow::new();
-                seen.set(index);
-                self.processes[index].call_msgs.clear();
-                self.processes[index].pending = PendingWork::AwaitingViews {
-                    seq,
-                    views: vec![(proc, own_view)],
-                    seen,
-                };
-                if !self.config.naive_payloads {
-                    self.processes[index].collect_cache.prepare(instance, n);
-                }
-                for target in 0..n {
-                    if target == index {
-                        continue;
-                    }
-                    // Tell each responder which of its versions we already
-                    // hold, so it can reply with a delta.
-                    let known = if self.config.naive_payloads {
-                        0
-                    } else {
-                        self.processes[index].collect_cache.known(ProcId(target))
-                    };
-                    self.send(
-                        proc,
-                        ProcId(target),
-                        WireMessage::Collect {
-                            seq,
-                            instance,
-                            known,
-                        },
-                    );
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Flip { prob_one } => {
-                let value = if self.config.partitions > 0 {
-                    let word = crate::partition::coin_word(
-                        self.config.seed,
-                        proc,
-                        self.processes[index].flips,
-                    );
-                    self.processes[index].flips += 1;
-                    crate::partition::coin_bool(word, prob_one)
-                } else {
-                    self.rng.gen_bool(prob_one.clamp(0.0, 1.0))
-                };
-                self.report.metrics.proc_mut(proc).coin_flips += 1;
-                self.report.trace.push(TraceEvent::Coin { proc, value });
-                self.processes[index].pending = PendingWork::LocalResponse(Response::Coin(value));
-            }
-            Action::Choose { choices } => {
-                self.report.metrics.proc_mut(proc).coin_flips += 1;
-                let chosen = if choices.is_empty() {
-                    0
-                } else if self.config.partitions > 0 {
-                    let word = crate::partition::coin_word(
-                        self.config.seed,
-                        proc,
-                        self.processes[index].flips,
-                    );
-                    self.processes[index].flips += 1;
-                    choices[(word % choices.len() as u64) as usize]
-                } else {
-                    choices[self.rng.gen_range(0..choices.len())]
-                };
-                self.processes[index].pending =
-                    PendingWork::LocalResponse(Response::Chosen(chosen));
-            }
-            Action::Return(outcome) => {
-                self.processes[index].pending = PendingWork::Finished(outcome);
-                self.processes[index].finished_at = Some(self.events_executed);
-                self.live_participants -= 1;
-                self.report.outcomes.insert(proc, outcome);
-                // The interval entry normally exists since the first step,
-                // but an early `finish()` takes the report with it; rebuild
-                // the start from `started_at` (which survives the take) so a
-                // later report never carries an outcome without an interval.
-                let started = self.processes[index]
-                    .started_at
-                    .expect("a returning participant has taken at least one step");
-                self.report
-                    .intervals
-                    .entry(proc)
-                    .or_insert((started, None))
-                    .1 = Some(self.events_executed);
-                self.report.trace.push(TraceEvent::Return { proc, outcome });
-            }
-        }
-    }
-
-    /// In degenerate systems (n = 1, or a quorum of 1) the caller's own
-    /// acknowledgement already forms a quorum; promote the pending state.
-    fn maybe_complete_quorum(&mut self, proc: ProcId, quorum: usize) {
-        let process = &mut self.processes[proc.index()];
-        let completed_seq = match &mut process.pending {
-            PendingWork::AwaitingAcks { seq, acked, .. } if *acked >= quorum => {
-                let seq = *seq;
-                process.pending = PendingWork::ResponseReady(Response::AckQuorum);
-                Some(seq)
-            }
-            PendingWork::AwaitingViews { seq, views, .. } if views.len() >= quorum => {
-                let seq = *seq;
-                let collected = std::mem::take(views);
-                process.pending = PendingWork::ResponseReady(Response::Views(
-                    CollectedViews::from_shared(collected),
-                ));
-                Some(seq)
-            }
-            _ => None,
-        };
-        if let Some(seq) = completed_seq {
-            self.purge_completed_call(proc, seq);
-        }
-    }
-
-    /// Drop the in-flight messages of a communicate call that has already
-    /// reached its quorum: the leftover requests and replies can never affect
-    /// the caller again, and keeping them around only slows the adversary
-    /// down. Semantically this is the adversary delaying them forever, which
-    /// the asynchronous model allows.
-    ///
-    /// The caller's `call_msgs` list records exactly the slots its current
-    /// call touched (its outgoing requests plus the replies addressed back to
-    /// it), so this costs O(call size) — not a scan of every in-flight
-    /// message. A listed slot may have been delivered and re-used by an
-    /// unrelated message in the meantime; the sequence-number-and-direction
-    /// check below rejects those, because sequence numbers are scoped to
-    /// their caller.
-    fn purge_completed_call(&mut self, caller: ProcId, seq: u64) {
-        let candidates = std::mem::take(&mut self.processes[caller.index()].call_msgs);
-        for slot in candidates {
-            let Some(message) = self.in_flight.get(slot) else {
-                continue;
-            };
-            let belongs_to_call = message.payload.seq() == seq
-                && ((message.from == caller && message.is_request())
-                    || (message.to == caller && message.is_reply()));
-            if belongs_to_call {
-                self.remove_message(slot);
-            }
-        }
-    }
-
-    /// Whether `caller` still has the communicate call `seq` outstanding.
-    fn call_outstanding(&self, caller: ProcId, seq: u64) -> bool {
-        match &self.processes[caller.index()].pending {
-            PendingWork::AwaitingAcks { seq: s, .. }
-            | PendingWork::AwaitingViews { seq: s, .. } => *s == seq,
-            _ => false,
-        }
-    }
-
-    fn send(&mut self, from: ProcId, to: ProcId, payload: WireMessage) {
-        let id = MessageId(self.next_message_id);
-        self.next_message_id += 1;
-        self.report.metrics.proc_mut(from).messages_sent += 1;
-        let is_request = payload.is_request();
-        let slot = self.in_flight.insert(InFlightMessage {
-            id,
-            from,
-            to,
-            payload,
-            sent_at: self.events_executed,
-        });
-        // Track the slot under the communicate call it belongs to: requests
-        // under their sender, replies under the caller awaiting them.
-        let call_owner = if is_request { from } else { to };
-        self.processes[call_owner.index()].call_msgs.push(slot);
-        if self.maintains_incremental() && !self.processes[to.index()].crashed {
-            self.enabled_msgs.insert(id, slot);
-        }
-        if let Some(index) = self.naive_index.as_mut() {
-            index.insert(id, slot);
-        }
-    }
-
-    /// Remove a message from the slab and every index that may reference it.
-    fn remove_message(&mut self, slot: u32) -> Option<InFlightMessage> {
-        let message = self.in_flight.remove(slot)?;
-        if self.maintains_incremental() {
-            self.enabled_msgs.remove_slot(slot);
-        }
-        if let Some(index) = self.naive_index.as_mut() {
-            index.remove(&message.id);
-        }
-        Some(message)
-    }
-
-    fn execute_delivery(&mut self, slot: u32) {
-        let Some(message) = self.remove_message(slot) else {
-            return;
-        };
-        self.report.trace.push(TraceEvent::Deliver {
-            id: message.id,
-            from: message.from,
-            to: message.to,
-        });
-        let to_index = message.to.index();
-        self.report.metrics.proc_mut(message.to).messages_received += 1;
-
-        if self.processes[to_index].crashed {
-            // Messages are delivered to faulty processors but produce no
-            // replies and no protocol progress.
-            return;
-        }
-
-        let quorum = self.config.quorum();
-        match message.payload {
-            WireMessage::Propagate { seq, entries } => {
-                self.processes[to_index].replica.apply_all(&entries);
-                // Replying to a call the sender has already completed can
-                // never matter; skip it (equivalently: delay it forever).
-                if self.call_outstanding(message.from, seq) {
-                    self.send(message.to, message.from, WireMessage::Ack { seq });
-                }
-            }
-            WireMessage::Collect {
-                seq,
-                instance,
-                known,
-            } => {
-                if self.call_outstanding(message.from, seq) {
-                    // Shared path: a copy-on-write snapshot when the
-                    // requester holds nothing, otherwise only the entries
-                    // written since the version it reported. Naive path:
-                    // the historical full deep clone per reply.
-                    let view = if self.config.naive_payloads {
-                        fle_model::ViewTransfer::Full(Arc::new(
-                            self.processes[to_index].replica.view_of(instance),
-                        ))
-                    } else {
-                        self.processes[to_index]
-                            .replica
-                            .transfer_since(instance, known)
-                    };
-                    self.send(
-                        message.to,
-                        message.from,
-                        WireMessage::CollectReply { seq, view },
-                    );
-                }
-            }
-            WireMessage::Ack { seq } => {
-                self.processes[to_index].record_ack(message.from, seq, quorum);
-                self.purge_if_completed(message.to);
-            }
-            WireMessage::CollectReply { seq, view } => {
-                let naive = self.config.naive_payloads;
-                self.processes[to_index].record_view(message.from, seq, view, naive, quorum);
-                self.purge_if_completed(message.to);
-            }
-        }
-    }
-
-    /// After a reply was recorded, purge the call's leftover traffic if the
-    /// quorum has just been reached.
-    fn purge_if_completed(&mut self, caller: ProcId) {
-        if matches!(
-            self.processes[caller.index()].pending,
-            PendingWork::ResponseReady(_)
-        ) {
-            // The completed call's sequence number is the caller's latest.
-            let seq = self.processes[caller.index()].next_seq;
-            self.purge_completed_call(caller, seq);
-        }
-    }
-
-    fn finalize(&mut self) {
-        self.report.events_executed = self.events_executed;
-        if self.live_participants == 0 {
-            // The crash list is only needed by the report from here on; move
-            // it instead of cloning (the drained engine copy is never read
-            // again on a completed run).
-            self.report.crashed = std::mem::take(&mut self.crashes);
-        } else {
-            // Partial finish: the engine keeps stepping afterwards, and both
-            // the crash-budget check and the adversary observation read
-            // `self.crashes` — draining it here would hand the adversary a
-            // second budget and lose the early crashes from later reports.
-            self.report.crashed = self.crashes.clone();
-        }
-    }
-}
-
-impl Drop for Simulator {
-    fn drop(&mut self) {
-        if self.pooled {
-            SimArena::pool(self.extract_arena());
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::adversary::{RandomAdversary, SequentialAdversary};
-    use fle_model::{InstanceId, Key, LocalStateView, Outcome, Slot, Value};
+    use crate::observation::ProcessPhase;
+    use fle_model::{Action, InstanceId, Key, LocalStateView, Outcome, Response, Slot, Value};
 
     /// A protocol that propagates a flag, collects, and returns WIN if it saw
     /// its own flag in some view (it always should).

@@ -57,6 +57,7 @@ pub mod arena;
 pub mod engine;
 pub mod error;
 pub mod event_set;
+mod kernel;
 pub mod memory;
 pub mod message;
 pub mod observation;
@@ -80,8 +81,7 @@ pub use observation::{
     Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
 };
 pub use partition::{
-    coin_bool, coin_word, partition_adversary_seed, ParallelSimulator, RoundCrashPlan,
-    SuperRoundAdversary,
+    partition_adversary_seed, ParallelSimulator, RoundCrashPlan, SuperRoundAdversary,
 };
 pub use report::ExecutionReport;
 pub use trace::{DecisionTrace, Trace, TraceEvent};

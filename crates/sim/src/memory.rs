@@ -5,7 +5,8 @@
 //! synchronous face: `n` replica stores in one struct, `propagate` applied
 //! to every replica immediately (the quorum that answered is all of them),
 //! `collect` returning the copy-on-write views of the first quorum of
-//! replicas, and coin flips drawn from a per-processor seeded stream. Every
+//! replicas, and coin flips drawn from each processor's
+//! [`fle_model::CoinStream`]. Every
 //! call completes deterministically and in program order, which corresponds
 //! to the failure-free sequential schedule of the simulator.
 //!
@@ -15,10 +16,9 @@
 //! simulator and the threaded runtime, none of the scheduling.
 
 use fle_model::{
-    CollectedViews, InstanceId, Key, Outcome, ProcId, Protocol, ReplicaStore, SharedMemory, Value,
+    CoinStream, CollectedViews, InstanceId, Key, Outcome, ProcId, Protocol, ReplicaStore,
+    SharedMemory, Value,
 };
-use rand::{Rng, SeedableRng};
-use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 
 /// A bank of `n` replica stores with deterministic sequential semantics.
@@ -52,15 +52,15 @@ impl SimMemory {
         self.replicas.len() / 2 + 1
     }
 
-    /// The [`SharedMemory`] handle of processor `me`. Handles borrow the
-    /// memory mutably, so protocols run one at a time — the sequential
-    /// schedule.
+    /// The [`SharedMemory`] handle of processor `me`, its coin stream at
+    /// the first draw. Handles borrow the memory mutably, so protocols run
+    /// one at a time — the sequential schedule.
     pub fn handle(&mut self, me: ProcId) -> SimMemoryHandle<'_> {
-        let rng = ChaCha8Rng::seed_from_u64(self.seed.wrapping_add(me.index() as u64 * 0x9e37));
+        let coins = CoinStream::new(self.seed, me);
         SimMemoryHandle {
             memory: self,
             me,
-            rng,
+            coins,
         }
     }
 
@@ -86,7 +86,7 @@ impl SimMemory {
 pub struct SimMemoryHandle<'a> {
     memory: &'a mut SimMemory,
     me: ProcId,
-    rng: ChaCha8Rng,
+    coins: CoinStream,
 }
 
 impl SimMemoryHandle<'_> {
@@ -120,15 +120,11 @@ impl SharedMemory for SimMemoryHandle<'_> {
     }
 
     fn flip(&mut self, prob_one: f64) -> bool {
-        self.rng.gen_bool(prob_one.clamp(0.0, 1.0))
+        self.coins.flip(prob_one)
     }
 
     fn choose(&mut self, choices: &[u64]) -> u64 {
-        if choices.is_empty() {
-            0
-        } else {
-            choices[self.rng.gen_range(0..choices.len())]
-        }
+        self.coins.choose(choices)
     }
 }
 

@@ -50,42 +50,16 @@ use crate::adversary::Adversary;
 use crate::arena::SimArena;
 use crate::engine::SimConfig;
 use crate::error::SimError;
-use crate::event_set::{IndexedBitSet, OrderedMsgSet};
-use crate::message::{InFlightMessage, MessageId, MessageSlab};
-use crate::observation::{
-    Decision, EnabledEvent, EnabledEvents, ProcessObservation, ProcessPhase, SystemObservation,
-};
-use crate::process::{PendingWork, SimProcess};
+use crate::kernel::{observation_of, Kernel, Outbox};
+use crate::message::{InFlightMessage, MessageId};
+use crate::observation::{Decision, EnabledEvent, EnabledEvents, SystemObservation};
 use crate::report::ExecutionReport;
 use crate::trace::{Trace, TraceEvent};
-use fle_model::{
-    splitmix64, Action, CollectedViews, Outcome, PartitionMap, ProcId, Protocol, Response,
-    RouteKey, WireMessage,
-};
-use std::sync::Arc;
+use fle_model::{splitmix64, Outcome, PartitionMap, ProcId, Protocol, RouteKey, WireMessage};
 
 // ---------------------------------------------------------------------------
-// Deterministic per-processor coin streams
+// Partition adversary seeds
 // ---------------------------------------------------------------------------
-
-/// The `k`-th raw coin word of processor `proc` under configuration seed
-/// `seed`: `splitmix64(splitmix64(seed ^ splitmix64(p + 1)) ^ k)`.
-///
-/// The stream depends only on `(seed, proc)` — never on the partition count,
-/// the worker-thread count, or the order in which other processors flip — so
-/// any engine that draws coins this way produces the same flips for the same
-/// processors. See `sim/trace.rs` for the full seed-derivation rule.
-pub fn coin_word(seed: u64, proc: ProcId, k: u64) -> u64 {
-    let stream = splitmix64(seed ^ splitmix64(proc.index() as u64 + 1));
-    splitmix64(stream ^ k)
-}
-
-/// Turn a raw coin word into a biased boolean: the top 53 bits as a uniform
-/// float in `[0, 1)`, compared against `prob_one` (clamped to `[0, 1]`).
-pub fn coin_bool(word: u64, prob_one: f64) -> bool {
-    let unit = (word >> 11) as f64 * (1.0 / (1u64 << 53) as f64);
-    unit < prob_one.clamp(0.0, 1.0)
-}
 
 /// The seed handed to partition `partition`'s adversary in adversarial mode:
 /// `splitmix64(seed ^ splitmix64(0xAD5E_0000_0000_0000 | partition))`.
@@ -182,559 +156,47 @@ impl Outbound {
     }
 }
 
-/// An interval/outcome event observed by a worker mid-round; the leader
-/// assigns its global event number at the barrier.
+/// An invocation (`outcome == None`) or return observed by a worker
+/// mid-round; the leader assigns its global event number at the barrier.
 struct Marker {
     /// Position of the triggering event inside this partition's round:
     /// canonical mode counts step-phase events only (1-based local step
     /// index), adversarial mode counts all local events (1-based).
     pos: u64,
     proc: ProcId,
-    kind: MarkerKind,
+    outcome: Option<Outcome>,
 }
 
-enum MarkerKind {
-    /// First protocol step (invocation).
-    Start,
-    /// Protocol returned with this outcome.
-    Ret(Outcome),
-}
-
-/// One partition's share of the simulation: local processors, local message
-/// slab and event indexes, plus the round buffers the barrier reads.
-struct PartitionEngine {
-    part: usize,
-    lo: usize,
-    hi: usize,
-    config: SimConfig,
-    /// Local processors, indexed by `proc - lo`.
-    processes: Vec<SimProcess>,
-    slab: MessageSlab,
-    enabled_msgs: OrderedMsgSet,
-    /// Step-enabled processors. Indexed by **global** processor id (only
-    /// local bits are ever set) so enabled-event views hand adversaries
-    /// correct global `ProcId`s.
-    enabled_steps: IndexedBitSet,
-    /// Live (registered, not crashed, not returned) local participants.
-    live: usize,
-    metrics: fle_model::ExecutionMetrics,
-    /// Local crash log (adversarial mode; canonical crashes are applied and
-    /// logged by the leader).
-    crashes: Vec<ProcId>,
-    scratch_slots: Vec<u32>,
-    /// Messages routed to this partition at the last barrier.
-    inbox: Vec<InFlightMessage>,
-    /// Messages sent this round, in [`RouteKey`] order by construction.
+/// A partition's [`Outbox`]: everything the barrier reads after a round.
+#[derive(Default)]
+struct RoundBuffers {
+    /// Messages sent this round, in [`RouteKey`] order by construction
+    /// (canonical) or after the end-of-round sort (adversarial).
     outbox: Vec<Outbound>,
     markers: Vec<Marker>,
-    /// `Deliver` trace events of this round, ascending message id
-    /// (canonical mode; merged by id across partitions at the barrier).
-    trace_deliver: Vec<TraceEvent>,
-    /// The round's other trace events in execution order (canonical: step
-    /// phase only; adversarial: every event including deliveries).
-    trace_other: Vec<TraceEvent>,
-    round_delivered: u64,
-    round_steps: u64,
-    /// Total events this partition executed across all rounds (adversarial
-    /// observations report this partition-local count).
-    events_local: u64,
-    /// Error raised by this partition during the round, if any.
-    round_error: Option<SimError>,
-    /// Adversarial mode only: this partition's adversary, its full-`n`
-    /// observation (remote processors appear as [`ProcessPhase::Idle`]) and
-    /// its share of the crash budget.
-    adversary: Option<Box<dyn Adversary>>,
-    observation: Option<SystemObservation>,
-    crash_budget: usize,
-    /// How many times this engine's arena has been recycled through the pool.
-    arena_reuses: u64,
+    /// Canonical mode: this round's `Deliver` trace events, ascending message
+    /// id (merged by id across partitions at the barrier). Adversarial rounds
+    /// trace deliveries in execution order with the kernel's other events.
+    deliveries: Trace,
+    /// Whether the current round is ordered by the partition's adversary.
+    adversarial: bool,
 }
 
-impl PartitionEngine {
-    fn new(part: usize, map: &PartitionMap, config: &SimConfig) -> Self {
-        let range = map.range_of(part);
-        let (lo, hi) = (range.start, range.end);
-        let arena = SimArena::take_pooled();
-        let arena_reuses = arena.reuses();
-        let SimArena {
-            mut slab,
-            mut enabled_msgs,
-            mut enabled_steps,
-            mut processes,
-            mut crashes,
-            mut scratch_slots,
-            observations: _,
-            ..
-        } = arena;
-        slab.clear();
-        enabled_msgs.clear();
-        enabled_steps.reset(config.n);
-        crashes.clear();
-        scratch_slots.clear();
-        let local = hi - lo;
-        for (offset, process) in processes.iter_mut().enumerate().take(local) {
-            process.recycle(ProcId(lo + offset));
-        }
-        processes.truncate(local);
-        while processes.len() < local {
-            processes.push(SimProcess::replica_only(ProcId(lo + processes.len())));
-        }
-        PartitionEngine {
-            part,
-            lo,
-            hi,
-            config: config.clone(),
-            processes,
-            slab,
-            enabled_msgs,
-            enabled_steps,
-            live: 0,
-            metrics: fle_model::ExecutionMetrics::default(),
-            crashes,
-            scratch_slots,
-            inbox: Vec::new(),
-            outbox: Vec::new(),
-            markers: Vec::new(),
-            trace_deliver: Vec::new(),
-            trace_other: Vec::new(),
-            round_delivered: 0,
-            round_steps: 0,
-            events_local: 0,
-            round_error: None,
-            adversary: None,
-            observation: None,
-            crash_budget: 0,
-            arena_reuses,
-        }
-    }
-
-    fn owns(&self, proc: ProcId) -> bool {
-        (self.lo..self.hi).contains(&proc.index())
-    }
-
-    fn process(&self, proc: ProcId) -> &SimProcess {
-        &self.processes[proc.index() - self.lo]
-    }
-
-    fn process_mut(&mut self, proc: ProcId) -> &mut SimProcess {
-        &mut self.processes[proc.index() - self.lo]
-    }
-
-    /// Re-sync `proc`'s step-enabled bit (and, in adversarial mode, its
-    /// observation entry) after its state changed.
-    fn sync_proc(&mut self, proc: ProcId) {
-        let process = &self.processes[proc.index() - self.lo];
-        let step_enabled = process.step_enabled();
-        self.enabled_steps.set(proc.index(), step_enabled);
-        if let Some(observation) = self.observation.as_mut() {
-            let phase = if process.crashed {
-                ProcessPhase::Crashed
-            } else if !process.participates() {
-                ProcessPhase::Idle
-            } else {
-                match &process.pending {
-                    PendingWork::NotStarted => ProcessPhase::NotStarted,
-                    PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_) => {
-                        ProcessPhase::StepReady
-                    }
-                    PendingWork::AwaitingAcks { .. } | PendingWork::AwaitingViews { .. } => {
-                        ProcessPhase::AwaitingQuorum
-                    }
-                    PendingWork::Finished(_) => ProcessPhase::Finished,
-                }
-            };
-            let local_state = process
-                .protocol
-                .as_ref()
-                .map(|proto| proto.adversary_view());
-            observation.processes[proc.index()] = ProcessObservation {
-                proc,
-                phase,
-                local_state,
-            };
-        }
-    }
-
-    /// Pull the messages routed to this partition at the last barrier into
-    /// the slab and the enabled index (skipping enabling for crashed
-    /// recipients, which mirrors the sequential engine retiring a victim's
-    /// deliveries at crash time).
-    fn intake(&mut self) {
-        let mut inbox = std::mem::take(&mut self.inbox);
-        for message in inbox.drain(..) {
-            debug_assert!(self.owns(message.to), "message routed to wrong partition");
-            let id = message.id;
-            let to = message.to;
-            let is_reply = message.is_reply();
-            let crashed = self.process(to).crashed;
-            let slot = self.slab.insert(message);
-            if is_reply {
-                self.process_mut(to).call_msgs.push(slot);
-            }
-            if !crashed {
-                self.enabled_msgs.insert(id, slot);
-            }
-        }
-        self.inbox = inbox;
-    }
-
-    /// Run one canonical super-round: intake, deliver everything in ascending
-    /// id order, then step-runs in ascending processor order.
-    fn run_round_canonical(&mut self) {
-        self.round_delivered = 0;
-        self.round_steps = 0;
-        self.intake();
-        while let Some((_, slot)) = self.enabled_msgs.select(0) {
-            self.round_delivered += 1;
-            self.execute_delivery(slot, false);
-        }
-        while let Some(index) = self.enabled_steps.select(0) {
-            self.round_steps += 1;
-            self.execute_step(ProcId(index), self.round_steps);
-        }
-    }
-
-    /// Run one adversarial super-round: intake, then let this partition's
-    /// adversary order (and crash) until every enabled event is consumed.
-    fn run_round_adversarial(&mut self) {
-        self.round_delivered = 0;
-        self.round_steps = 0;
-        self.intake();
-        while self.enabled_steps.len() + self.enabled_msgs.len() > 0 {
-            if let Some(observation) = self.observation.as_mut() {
-                observation.events_executed = self.events_local;
-                observation.crash_budget_left =
-                    self.crash_budget.saturating_sub(self.crashes.len());
-            }
-            let decision = {
-                let observation = self
-                    .observation
-                    .as_ref()
-                    .expect("adversarial mode maintains an observation");
-                let enabled =
-                    EnabledEvents::live(&self.enabled_steps, &self.enabled_msgs, &self.slab);
-                let adversary = self
-                    .adversary
-                    .as_mut()
-                    .expect("adversarial mode installs an adversary");
-                adversary.decide(observation, &enabled)
-            };
-            match decision {
-                Decision::Crash(victim) => {
-                    if let Err(error) = self.crash_local(victim) {
-                        self.round_error = Some(error);
-                        return;
-                    }
-                }
-                Decision::Schedule(index) => {
-                    if index < self.enabled_steps.len() {
-                        let proc = ProcId(
-                            self.enabled_steps
-                                .select(index)
-                                .expect("index checked against len"),
-                        );
-                        self.round_steps += 1;
-                        let pos = self.round_delivered + self.round_steps;
-                        self.execute_step(proc, pos);
-                    } else if let Some((_, slot)) =
-                        self.enabled_msgs.select(index - self.enabled_steps.len())
-                    {
-                        self.round_delivered += 1;
-                        self.execute_delivery(slot, true);
-                    } else {
-                        self.round_error = Some(SimError::InvalidDecision {
-                            reason: format!(
-                                "index {index} out of bounds for {} enabled events",
-                                self.enabled_steps.len() + self.enabled_msgs.len()
-                            ),
-                        });
-                        return;
-                    }
-                }
-            }
-        }
-        // The barrier's p-way merge requires key-sorted outboxes. Keys are
-        // unique within a round (replies carry distinct trigger ids; a
-        // processor sends at most one broadcast batch per round, since a
-        // fresh communicate call cannot complete before the next barrier),
-        // so this sort is deterministic regardless of adversary order.
-        self.outbox.sort_by_key(|out| out.key);
-    }
-
-    /// Adversarial-mode crash: victims must be local, and the partition pays
-    /// from its own share of the crash budget.
-    fn crash_local(&mut self, victim: ProcId) -> Result<(), SimError> {
-        if self.crashes.len() >= self.crash_budget {
-            return Err(SimError::CrashBudgetExceeded {
-                victim,
-                budget: self.crash_budget,
-            });
-        }
-        if !self.owns(victim) {
-            return Err(SimError::InvalidDecision {
-                reason: format!(
-                    "partition {} cannot crash remote processor {victim}",
-                    self.part
-                ),
-            });
-        }
-        if self.process(victim).crashed {
-            return Err(SimError::InvalidDecision {
-                reason: format!("{victim} is already crashed"),
-            });
-        }
-        if self.process(victim).is_live_participant() {
-            self.live -= 1;
-        }
-        self.process_mut(victim).crashed = true;
-        self.crashes.push(victim);
-        let mut doomed = std::mem::take(&mut self.scratch_slots);
-        doomed.clear();
-        doomed.extend(
-            self.enabled_msgs
-                .iter()
-                .filter(|&(_, slot)| {
-                    self.slab
-                        .get(slot)
-                        .expect("enabled message indexes a live slab slot")
-                        .to
-                        == victim
-                })
-                .map(|(_, slot)| slot),
-        );
-        for &slot in &doomed {
-            self.enabled_msgs.remove_slot(slot);
-        }
-        self.scratch_slots = doomed;
-        if self.config.record_trace {
-            self.trace_other.push(TraceEvent::Crash { proc: victim });
-        }
-        self.sync_proc(victim);
-        Ok(())
-    }
-
-    fn execute_step(&mut self, proc: ProcId, pos: u64) {
-        self.events_local += 1;
-        if self.config.record_trace {
-            self.trace_other.push(TraceEvent::Step { proc });
-        }
-        let response = {
-            let lo = self.lo;
-            let process = &mut self.processes[proc.index() - lo];
-            if process.started_at.is_none() {
-                // The real (global) event number is assigned by the leader at
-                // the barrier from the marker; the local value is only a
-                // "has started" flag here.
-                process.started_at = Some(pos);
-                self.markers.push(Marker {
-                    pos,
-                    proc,
-                    kind: MarkerKind::Start,
-                });
-            }
-            match std::mem::replace(&mut process.pending, PendingWork::NotStarted) {
-                PendingWork::NotStarted => Response::Start,
-                PendingWork::LocalResponse(r) | PendingWork::ResponseReady(r) => r,
-                other => {
-                    process.pending = other;
-                    return;
-                }
-            }
-        };
-        let action = {
-            let lo = self.lo;
-            let process = &mut self.processes[proc.index() - lo];
-            let protocol = process
-                .protocol
-                .as_mut()
-                .expect("only participants take steps");
-            protocol.step(response)
-        };
-        self.apply_action(proc, action, pos);
-        self.sync_proc(proc);
-    }
-
-    fn apply_action(&mut self, proc: ProcId, action: Action, pos: u64) {
-        let quorum = self.config.quorum();
-        let n = self.config.n;
-        let lo = self.lo;
-        match action {
-            Action::Propagate { entries } => {
-                let seq = self.processes[proc.index() - lo].fresh_seq();
-                self.processes[proc.index() - lo]
-                    .replica
-                    .apply_all(&entries);
-                self.metrics.proc_mut(proc).communicate_calls += 1;
-                let mut seen = fle_model::BitRow::new();
-                seen.set(proc.index());
-                self.processes[proc.index() - lo].call_msgs.clear();
-                self.processes[proc.index() - lo].pending = PendingWork::AwaitingAcks {
-                    seq,
-                    acked: 1,
-                    seen,
-                };
-                let shared: Arc<[(fle_model::Key, fle_model::Value)]> = entries.into();
-                let mut sub = 0u32;
-                for target in 0..n {
-                    if target == proc.index() {
-                        continue;
-                    }
-                    self.send(
-                        RouteKey::broadcast(proc, sub),
-                        proc,
-                        ProcId(target),
-                        WireMessage::Propagate {
-                            seq,
-                            entries: shared.clone(),
-                        },
-                    );
-                    sub += 1;
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Collect { instance } => {
-                let seq = self.processes[proc.index() - lo].fresh_seq();
-                let own_view = self.processes[proc.index() - lo].replica.view_arc(instance);
-                self.metrics.proc_mut(proc).communicate_calls += 1;
-                let mut seen = fle_model::BitRow::new();
-                seen.set(proc.index());
-                self.processes[proc.index() - lo].call_msgs.clear();
-                self.processes[proc.index() - lo].pending = PendingWork::AwaitingViews {
-                    seq,
-                    views: vec![(proc, own_view)],
-                    seen,
-                };
-                self.processes[proc.index() - lo]
-                    .collect_cache
-                    .prepare(instance, n);
-                let mut sub = 0u32;
-                for target in 0..n {
-                    if target == proc.index() {
-                        continue;
-                    }
-                    let known = self.processes[proc.index() - lo]
-                        .collect_cache
-                        .known(ProcId(target));
-                    self.send(
-                        RouteKey::broadcast(proc, sub),
-                        proc,
-                        ProcId(target),
-                        WireMessage::Collect {
-                            seq,
-                            instance,
-                            known,
-                        },
-                    );
-                    sub += 1;
-                }
-                self.maybe_complete_quorum(proc, quorum);
-            }
-            Action::Flip { prob_one } => {
-                let flips = self.processes[proc.index() - lo].flips;
-                let word = coin_word(self.config.seed, proc, flips);
-                self.processes[proc.index() - lo].flips += 1;
-                let value = coin_bool(word, prob_one);
-                self.metrics.proc_mut(proc).coin_flips += 1;
-                if self.config.record_trace {
-                    self.trace_other.push(TraceEvent::Coin { proc, value });
-                }
-                self.processes[proc.index() - lo].pending =
-                    PendingWork::LocalResponse(Response::Coin(value));
-            }
-            Action::Choose { choices } => {
-                self.metrics.proc_mut(proc).coin_flips += 1;
-                let chosen = if choices.is_empty() {
-                    0
-                } else {
-                    let flips = self.processes[proc.index() - lo].flips;
-                    let word = coin_word(self.config.seed, proc, flips);
-                    self.processes[proc.index() - lo].flips += 1;
-                    choices[(word % choices.len() as u64) as usize]
-                };
-                self.processes[proc.index() - lo].pending =
-                    PendingWork::LocalResponse(Response::Chosen(chosen));
-            }
-            Action::Return(outcome) => {
-                self.processes[proc.index() - lo].pending = PendingWork::Finished(outcome);
-                self.live -= 1;
-                self.markers.push(Marker {
-                    pos,
-                    proc,
-                    kind: MarkerKind::Ret(outcome),
-                });
-                if self.config.record_trace {
-                    self.trace_other.push(TraceEvent::Return { proc, outcome });
-                }
-            }
-        }
-    }
-
-    fn maybe_complete_quorum(&mut self, proc: ProcId, quorum: usize) {
-        let process = &mut self.processes[proc.index() - self.lo];
-        let completed_seq = match &mut process.pending {
-            PendingWork::AwaitingAcks { seq, acked, .. } if *acked >= quorum => {
-                let seq = *seq;
-                process.pending = PendingWork::ResponseReady(Response::AckQuorum);
-                Some(seq)
-            }
-            PendingWork::AwaitingViews { seq, views, .. } if views.len() >= quorum => {
-                let seq = *seq;
-                let collected = std::mem::take(views);
-                process.pending = PendingWork::ResponseReady(Response::Views(
-                    CollectedViews::from_shared(collected),
-                ));
-                Some(seq)
-            }
-            _ => None,
-        };
-        if let Some(seq) = completed_seq {
-            self.purge_completed_call(proc, seq);
-        }
-    }
-
-    /// Drop the undelivered leftovers of a completed communicate call.
-    ///
-    /// Under super-round semantics every request of a call is delivered one
-    /// round after it was sent, and every reply one round after that — so by
-    /// the time a quorum completes, the only leftovers are replies sitting in
-    /// the *caller's own* partition. (The one exception: requests addressed
-    /// to processors that crashed before delivery stay in their partitions'
-    /// slabs forever — never enabled, never reported, just parked — where
-    /// the sequential engine reclaims them. Behaviorally invisible.)
-    fn purge_completed_call(&mut self, caller: ProcId, seq: u64) {
-        let candidates = std::mem::take(&mut self.processes[caller.index() - self.lo].call_msgs);
-        for slot in candidates {
-            let Some(message) = self.slab.get(slot) else {
-                continue;
-            };
-            let belongs_to_call = message.payload.seq() == seq
-                && ((message.from == caller && message.is_request())
-                    || (message.to == caller && message.is_reply()));
-            if belongs_to_call {
-                self.slab.remove(slot);
-                self.enabled_msgs.remove_slot(slot);
-            }
-        }
-    }
-
-    fn purge_if_completed(&mut self, caller: ProcId) {
-        if matches!(
-            self.processes[caller.index() - self.lo].pending,
-            PendingWork::ResponseReady(_)
-        ) {
-            let seq = self.processes[caller.index() - self.lo].next_seq;
-            self.purge_completed_call(caller, seq);
-        }
-    }
-
-    fn send(&mut self, key: RouteKey, from: ProcId, to: ProcId, payload: WireMessage) {
-        self.metrics.proc_mut(from).messages_sent += 1;
+impl Outbox for RoundBuffers {
+    fn send(
+        &mut self,
+        _kernel: &mut Kernel,
+        key: RouteKey,
+        from: ProcId,
+        to: ProcId,
+        payload: WireMessage,
+    ) {
         // The canonical phase order (all deliveries, then step-runs in
         // ascending processor order) produces keys in strictly ascending
         // order by construction; an adversarial round interleaves freely and
         // sorts its outbox at the end of the round instead.
         debug_assert!(
-            self.adversary.is_some() || self.outbox.last().is_none_or(|last| last.key < key),
+            self.adversarial || self.outbox.last().is_none_or(|last| last.key < key),
             "outbox keys must be generated in strictly ascending order"
         );
         self.outbox.push(Outbound {
@@ -745,115 +207,160 @@ impl PartitionEngine {
         });
     }
 
-    fn execute_delivery(&mut self, slot: u32, adversarial: bool) {
-        self.events_local += 1;
-        let Some(message) = self.slab.remove(slot) else {
-            return;
-        };
-        self.enabled_msgs.remove_slot(slot);
-        if self.config.record_trace {
-            let event = TraceEvent::Deliver {
-                id: message.id,
-                from: message.from,
-                to: message.to,
-            };
-            if adversarial {
-                self.trace_other.push(event);
-            } else {
-                self.trace_deliver.push(event);
-            }
-        }
-        let to = message.to;
-        self.metrics.proc_mut(to).messages_received += 1;
-        if self.process(to).crashed {
-            return;
-        }
-        let quorum = self.config.quorum();
-        match message.payload {
-            WireMessage::Propagate { seq, entries } => {
-                self.process_mut(to).replica.apply_all(&entries);
-                // Super-round semantics guarantee the caller still has this
-                // call outstanding when the request arrives (requests are
-                // delivered exactly one round after they were sent, and the
-                // quorum needs the replies of the round after that), so the
-                // reply is unconditional — no cross-partition peek needed.
-                debug_assert!(
-                    !self.owns(message.from) || self.call_outstanding(message.from, seq),
-                    "super-round invariant: requests arrive while their call is outstanding"
-                );
-                self.send(
-                    RouteKey::reply(message.id.0),
-                    to,
-                    message.from,
-                    WireMessage::Ack { seq },
-                );
-            }
-            WireMessage::Collect {
-                seq,
-                instance,
-                known,
-            } => {
-                debug_assert!(
-                    !self.owns(message.from) || self.call_outstanding(message.from, seq),
-                    "super-round invariant: requests arrive while their call is outstanding"
-                );
-                let view = self.process_mut(to).replica.transfer_since(instance, known);
-                self.send(
-                    RouteKey::reply(message.id.0),
-                    to,
-                    message.from,
-                    WireMessage::CollectReply { seq, view },
-                );
-            }
-            WireMessage::Ack { seq } => {
-                self.process_mut(to).record_ack(message.from, seq, quorum);
-                self.purge_if_completed(to);
-            }
-            WireMessage::CollectReply { seq, view } => {
-                self.process_mut(to)
-                    .record_view(message.from, seq, view, false, quorum);
-                self.purge_if_completed(to);
-            }
-        }
-        self.sync_proc(to);
+    fn mark(&mut self, _kernel: &mut Kernel, proc: ProcId, pos: u64, outcome: Option<Outcome>) {
+        self.markers.push(Marker { pos, proc, outcome });
     }
 
-    fn call_outstanding(&self, caller: ProcId, seq: u64) -> bool {
-        match &self.process(caller).pending {
-            PendingWork::AwaitingAcks { seq: s, .. }
-            | PendingWork::AwaitingViews { seq: s, .. } => *s == seq,
-            _ => false,
+    fn trace_delivery(&mut self, kernel: &mut Kernel, event: TraceEvent) {
+        if self.adversarial {
+            kernel.report.trace.push(event);
+        } else {
+            self.deliveries.push(event);
         }
-    }
-
-    fn live_participants(&self) -> impl Iterator<Item = ProcId> + '_ {
-        self.processes
-            .iter()
-            .filter(|p| p.is_live_participant())
-            .map(|p| p.id)
     }
 }
 
-impl Drop for PartitionEngine {
-    fn drop(&mut self) {
-        let mut arena = SimArena {
-            slab: std::mem::take(&mut self.slab),
-            enabled_msgs: std::mem::take(&mut self.enabled_msgs),
-            enabled_steps: std::mem::take(&mut self.enabled_steps),
-            processes: std::mem::take(&mut self.processes),
-            crashes: std::mem::take(&mut self.crashes),
-            scratch_slots: std::mem::take(&mut self.scratch_slots),
-            observations: Vec::new(),
-            reuses: self.arena_reuses,
-        };
-        arena.slab.clear();
-        arena.enabled_msgs.clear();
-        arena.crashes.clear();
-        arena.scratch_slots.clear();
-        for process in &mut arena.processes {
-            process.recycle(process.id);
+/// One partition's share of the simulation: a [`Kernel`] over the local
+/// processors plus the round buffers the barrier reads.
+///
+/// Under super-round semantics every request of a call is delivered one
+/// round after it was sent, and every reply one round after that — so by the
+/// time a quorum completes, the only leftovers are replies sitting in the
+/// caller's own partition, which the kernel purges. Requests addressed to
+/// processors that crashed before delivery stay in their partitions' slabs
+/// forever (never enabled, never reported), where the sequential engine
+/// reclaims them; this is behaviourally invisible.
+struct PartitionEngine {
+    core: Kernel,
+    round: RoundBuffers,
+    /// Messages routed to this partition at the last barrier.
+    inbox: Vec<InFlightMessage>,
+    round_delivered: u64,
+    round_steps: u64,
+    /// Events this partition executed before the current round (adversarial
+    /// observations report this partition-local count).
+    events_before_round: u64,
+    /// Error raised by this partition during the round, if any.
+    round_error: Option<SimError>,
+    /// Adversarial mode only: this partition's adversary. It sees a full-`n`
+    /// observation in which remote processors appear as
+    /// [`crate::ProcessPhase::Idle`], and spends the kernel's share of the
+    /// crash budget.
+    adversary: Option<Box<dyn Adversary>>,
+}
+
+impl PartitionEngine {
+    fn new(part: usize, map: &PartitionMap, config: &SimConfig) -> Self {
+        let mut core = Kernel::new(config, map.range_of(part), SimArena::take_pooled(), false);
+        core.pooled = true;
+        PartitionEngine {
+            core,
+            round: RoundBuffers {
+                deliveries: Trace::new(config.record_trace),
+                ..RoundBuffers::default()
+            },
+            inbox: Vec::new(),
+            round_delivered: 0,
+            round_steps: 0,
+            events_before_round: 0,
+            round_error: None,
+            adversary: None,
         }
-        SimArena::pool(arena);
+    }
+
+    /// Start a round: pull the messages routed to this partition at the last
+    /// barrier into the kernel. Deliveries to crashed recipients are never
+    /// enabled, which mirrors the sequential engine retiring a victim's
+    /// deliveries at crash time.
+    fn begin_round(&mut self, adversarial: bool) {
+        self.round.adversarial = adversarial;
+        self.events_before_round += self.round_delivered + self.round_steps;
+        self.round_delivered = 0;
+        self.round_steps = 0;
+        for message in self.inbox.drain(..) {
+            debug_assert!(
+                self.core.owns(message.to),
+                "message routed to wrong partition"
+            );
+            self.core.admit(message);
+        }
+    }
+
+    /// Run one super-round body, canonical or adversarial.
+    fn run_round(&mut self, adversarial: bool) {
+        self.begin_round(adversarial);
+        if adversarial {
+            self.run_round_adversarial();
+        } else {
+            self.run_round_canonical();
+        }
+    }
+
+    /// Run one canonical super-round: deliver everything in ascending id
+    /// order, then step-runs in ascending processor order.
+    fn run_round_canonical(&mut self) {
+        while let Some((_, slot)) = self.core.enabled_msgs.select(0) {
+            self.round_delivered += 1;
+            self.core.execute_delivery(slot, &mut self.round);
+        }
+        while let Some(index) = self.core.enabled_steps.select(0) {
+            self.round_steps += 1;
+            self.core
+                .execute_step(ProcId(index), self.round_steps, &mut self.round);
+        }
+    }
+
+    /// Run one adversarial super-round: let this partition's adversary order
+    /// (and crash) until every enabled event is consumed.
+    fn run_round_adversarial(&mut self) {
+        while self.core.enabled_len() > 0 {
+            let events = self.events_before_round + self.round_delivered + self.round_steps;
+            self.core.refresh_header(events);
+            let decision = {
+                let observation = self
+                    .core
+                    .observation
+                    .as_ref()
+                    .expect("adversarial mode maintains an observation");
+                let adversary = self
+                    .adversary
+                    .as_mut()
+                    .expect("adversarial mode installs an adversary");
+                adversary.decide(observation, &self.core.enabled())
+            };
+            let outcome = match decision {
+                Decision::Crash(victim) => self.core.crash(victim),
+                Decision::Schedule(index) => match self.core.resolve(index) {
+                    Some((EnabledEvent::Step(proc), _)) => {
+                        self.round_steps += 1;
+                        let pos = self.round_delivered + self.round_steps;
+                        self.core.execute_step(proc, pos, &mut self.round);
+                        Ok(())
+                    }
+                    Some((_, Some(slot))) => {
+                        self.round_delivered += 1;
+                        self.core.execute_delivery(slot, &mut self.round);
+                        Ok(())
+                    }
+                    _ => Err(SimError::InvalidDecision {
+                        reason: format!(
+                            "index {index} out of bounds for {} enabled events",
+                            self.core.enabled_len()
+                        ),
+                    }),
+                },
+            };
+            if let Err(error) = outcome {
+                self.round_error = Some(error);
+                return;
+            }
+        }
+        // The barrier's p-way merge requires key-sorted outboxes. Keys are
+        // unique within a round (replies carry distinct trigger ids; a
+        // processor sends at most one broadcast batch per round, since a
+        // fresh communicate call cannot complete before the next barrier),
+        // so this sort is deterministic regardless of adversary order.
+        self.round.outbox.sort_by_key(|out| out.key);
     }
 }
 
@@ -908,11 +415,7 @@ impl ParallelSimulator {
         let engines = (0..map.partitions())
             .map(|part| PartitionEngine::new(part, &map, &config))
             .collect();
-        let trace = if config.record_trace {
-            Trace::recording()
-        } else {
-            Trace::disabled()
-        };
+        let trace = Trace::new(config.record_trace);
         ParallelSimulator {
             map,
             engines,
@@ -967,23 +470,11 @@ impl ParallelSimulator {
         proc: ProcId,
         protocol: Box<dyn Protocol>,
     ) -> Result<(), SimError> {
-        if proc.index() >= self.config.n {
-            return Err(SimError::InvalidParticipant {
-                proc,
-                reason: format!("system only has {} processors", self.config.n),
-            });
-        }
-        let engine = &mut self.engines[self.map.partition_of(proc)];
-        if engine.process(proc).participates() {
-            return Err(SimError::InvalidParticipant {
-                proc,
-                reason: "already registered".to_string(),
-            });
-        }
-        engine.process_mut(proc).participate(protocol);
-        engine.live += 1;
-        engine.sync_proc(proc);
-        Ok(())
+        // An out-of-range id goes to the last partition, which rejects it.
+        let part = self
+            .map
+            .partition_of(ProcId(proc.index().min(self.config.n - 1)));
+        self.engines[part].core.try_add_participant(proc, protocol)
     }
 
     /// Register `proc` as a participant running `protocol`.
@@ -1017,36 +508,14 @@ impl ParallelSimulator {
     pub fn set_adversaries(&mut self, mut factory: impl FnMut(usize, u64) -> Box<dyn Adversary>) {
         let parts = self.engines.len();
         let budget = self.config.crash_budget;
-        let n = self.config.n;
         for (part, engine) in self.engines.iter_mut().enumerate() {
             engine.adversary = Some(factory(
                 part,
                 partition_adversary_seed(self.config.seed, part),
             ));
-            engine.crash_budget = budget / parts + usize::from(part < budget % parts);
-            if engine.observation.is_none() {
-                let mut observation = SystemObservation {
-                    n,
-                    events_executed: 0,
-                    crash_budget_left: engine.crash_budget,
-                    processes: (0..n)
-                        .map(|i| ProcessObservation {
-                            proc: ProcId(i),
-                            phase: ProcessPhase::Idle,
-                            local_state: None,
-                        })
-                        .collect(),
-                };
-                // Fill in the local processors' real phases.
-                for offset in 0..(engine.hi - engine.lo) {
-                    let proc = engine.processes[offset].id;
-                    let _ = proc;
-                    observation.processes[engine.lo + offset].proc = ProcId(engine.lo + offset);
-                }
-                engine.observation = Some(observation);
-                for index in engine.lo..engine.hi {
-                    engine.sync_proc(ProcId(index));
-                }
+            engine.core.crash_budget = budget / parts + usize::from(part < budget % parts);
+            if engine.core.observation.is_none() {
+                engine.core.observe(Vec::new());
             }
         }
         self.mode = RoundMode::Adversarial;
@@ -1068,7 +537,7 @@ impl ParallelSimulator {
     }
 
     fn live(&self) -> usize {
-        self.engines.iter().map(|e| e.live).sum()
+        self.engines.iter().map(|e| e.core.live).sum()
     }
 
     fn budget_exhausted(&self) -> SimError {
@@ -1077,23 +546,21 @@ impl ParallelSimulator {
             unfinished: self
                 .engines
                 .iter()
-                .flat_map(|e| e.live_participants())
+                .flat_map(|e| e.core.live_participants())
                 .collect(),
         }
     }
 
-    /// Apply one canonical-mode crash at the barrier (leader context: all
-    /// enabled-message indexes are empty between rounds, so there is nothing
-    /// to retire — undelivered messages to the victim are simply never
-    /// enabled at intake).
+    /// Apply one canonical-mode crash at the barrier. The enabled-message
+    /// indexes are empty between rounds, so there is nothing to retire;
+    /// undelivered messages to the victim are simply never enabled at intake.
     fn crash_at_barrier(&mut self, victim: ProcId) {
         let engine = &mut self.engines[self.map.partition_of(victim)];
-        debug_assert!(!engine.process(victim).crashed, "plan victims are unique");
-        if engine.process(victim).is_live_participant() {
-            engine.live -= 1;
-        }
-        engine.process_mut(victim).crashed = true;
-        engine.sync_proc(victim);
+        debug_assert!(
+            !engine.core.process(victim).crashed,
+            "plan victims are unique"
+        );
+        engine.core.retire(victim);
         self.crashes.push(victim);
         self.report.trace.push(TraceEvent::Crash { proc: victim });
     }
@@ -1115,11 +582,7 @@ impl ParallelSimulator {
         };
         if workers <= 1 || parts == 1 {
             for engine in &mut self.engines {
-                if adversarial {
-                    engine.run_round_adversarial();
-                } else {
-                    engine.run_round_canonical();
-                }
+                engine.run_round(adversarial);
             }
             return;
         }
@@ -1128,11 +591,7 @@ impl ParallelSimulator {
             for engines in self.engines.chunks_mut(chunk) {
                 scope.spawn(move || {
                     for engine in engines {
-                        if adversarial {
-                            engine.run_round_adversarial();
-                        } else {
-                            engine.run_round_canonical();
-                        }
+                        engine.run_round(adversarial);
                     }
                 });
             }
@@ -1203,13 +662,13 @@ impl ParallelSimulator {
             } else {
                 base + d_total + prefix
             };
-            for marker in engine.markers.drain(..) {
+            for marker in engine.round.markers.drain(..) {
                 let global = marker_base + marker.pos;
-                match marker.kind {
-                    MarkerKind::Start => {
+                match marker.outcome {
+                    None => {
                         self.report.intervals.insert(marker.proc, (global, None));
                     }
-                    MarkerKind::Ret(outcome) => {
+                    Some(outcome) => {
                         self.report.outcomes.insert(marker.proc, outcome);
                         self.report
                             .intervals
@@ -1239,7 +698,7 @@ impl ParallelSimulator {
                     let mut best: Option<(u64, usize)> = None;
                     for (part, engine) in self.engines.iter().enumerate() {
                         if let Some(TraceEvent::Deliver { id, .. }) =
-                            engine.trace_deliver.get(cursors[part])
+                            engine.round.deliveries.events().get(cursors[part])
                         {
                             if best.is_none_or(|(bid, _)| id.0 < bid) {
                                 best = Some((id.0, part));
@@ -1247,25 +706,14 @@ impl ParallelSimulator {
                         }
                     }
                     let Some((_, part)) = best else { break };
-                    let event = self.engines[part].trace_deliver[cursors[part]];
+                    let event = self.engines[part].round.deliveries.events()[cursors[part]];
                     self.report.trace.push(event);
                     cursors[part] += 1;
                 }
             }
             for engine in &mut self.engines {
-                for event in engine.trace_deliver.drain(..) {
-                    if adversarial {
-                        self.report.trace.push(event);
-                    }
-                }
-                for event in engine.trace_other.drain(..) {
-                    self.report.trace.push(event);
-                }
-            }
-        } else {
-            for engine in &mut self.engines {
-                engine.trace_deliver.clear();
-                engine.trace_other.clear();
+                engine.round.deliveries.clear();
+                self.report.trace.append(&mut engine.core.report.trace);
             }
         }
 
@@ -1276,7 +724,7 @@ impl ParallelSimulator {
         let mut outboxes: Vec<Vec<Outbound>> = self
             .engines
             .iter_mut()
-            .map(|e| std::mem::take(&mut e.outbox))
+            .map(|e| std::mem::take(&mut e.round.outbox))
             .collect();
         let mut inboxes: Vec<Vec<InFlightMessage>> = self
             .engines
@@ -1315,7 +763,7 @@ impl ParallelSimulator {
         }
         for (engine, mut outbox) in self.engines.iter_mut().zip(outboxes) {
             outbox.clear();
-            engine.outbox = outbox;
+            engine.round.outbox = outbox;
         }
         for (engine, inbox) in self.engines.iter_mut().zip(inboxes) {
             engine.inbox = inbox;
@@ -1362,79 +810,50 @@ impl ParallelSimulator {
     /// partition; crashes are reported in application order (canonical) or
     /// partition order (adversarial).
     pub fn finish(&mut self) -> ExecutionReport {
-        let mut report = std::mem::take(&mut self.report);
-        report.events_executed = self.events_executed;
-        for engine in &self.engines {
-            report.metrics.absorb(&engine.metrics);
-        }
-        report.crashed = if matches!(self.mode, RoundMode::Adversarial) {
-            self.engines
-                .iter()
-                .flat_map(|e| e.crashes.clone())
-                .collect()
-        } else {
-            std::mem::take(&mut self.crashes)
-        };
-        report
+        let report = std::mem::take(&mut self.report);
+        self.merged(report)
     }
 
     /// A merged snapshot of the in-progress report (outcomes, intervals,
     /// metrics, crashes, trace so far). O(n) — built for online oracles
     /// between rounds, not for hot loops.
     pub fn merged_report_so_far(&self) -> ExecutionReport {
-        let mut report = self.report.clone();
+        self.merged(self.report.clone())
+    }
+
+    /// Complete the leader's `report` with the event count, every
+    /// partition's metrics and the crash list.
+    fn merged(&self, mut report: ExecutionReport) -> ExecutionReport {
         report.events_executed = self.events_executed;
         for engine in &self.engines {
-            report.metrics.absorb(&engine.metrics);
+            report.metrics.absorb(&engine.core.report.metrics);
         }
-        report.crashed = if matches!(self.mode, RoundMode::Adversarial) {
-            self.engines
-                .iter()
-                .flat_map(|e| e.crashes.clone())
-                .collect()
-        } else {
-            self.crashes.clone()
-        };
+        report.crashed = self.crashed();
         report
+    }
+
+    /// The crashes so far, in application order (canonical) or partition
+    /// order (adversarial).
+    fn crashed(&self) -> Vec<ProcId> {
+        match self.mode {
+            RoundMode::Adversarial => self
+                .engines
+                .iter()
+                .flat_map(|e| e.core.crashes.iter().copied())
+                .collect(),
+            RoundMode::Canonical { .. } => self.crashes.clone(),
+        }
     }
 
     /// A merged full-system observation as of the last barrier (O(n); for
     /// online oracles between rounds).
     pub fn merged_observation(&self) -> SystemObservation {
-        let crashes: usize = if matches!(self.mode, RoundMode::Adversarial) {
-            self.engines.iter().map(|e| e.crashes.len()).sum()
-        } else {
-            self.crashes.len()
-        };
-        let mut processes = Vec::with_capacity(self.config.n);
-        for engine in &self.engines {
-            for process in &engine.processes {
-                let phase = if process.crashed {
-                    ProcessPhase::Crashed
-                } else if !process.participates() {
-                    ProcessPhase::Idle
-                } else {
-                    match &process.pending {
-                        PendingWork::NotStarted => ProcessPhase::NotStarted,
-                        PendingWork::LocalResponse(_) | PendingWork::ResponseReady(_) => {
-                            ProcessPhase::StepReady
-                        }
-                        PendingWork::AwaitingAcks { .. } | PendingWork::AwaitingViews { .. } => {
-                            ProcessPhase::AwaitingQuorum
-                        }
-                        PendingWork::Finished(_) => ProcessPhase::Finished,
-                    }
-                };
-                processes.push(ProcessObservation {
-                    proc: process.id,
-                    phase,
-                    local_state: process
-                        .protocol
-                        .as_ref()
-                        .map(|proto| proto.adversary_view()),
-                });
-            }
-        }
+        let crashes = self.crashed().len();
+        let processes = self
+            .engines
+            .iter()
+            .flat_map(|e| e.core.processes.iter().map(observation_of))
+            .collect();
         SystemObservation {
             n: self.config.n,
             events_executed: self.events_executed,
@@ -1449,7 +868,7 @@ impl ParallelSimulator {
     pub fn min_arena_reuses(&self) -> u64 {
         self.engines
             .iter()
-            .map(|e| e.arena_reuses)
+            .map(|e| e.core.arena_reuses)
             .min()
             .unwrap_or(0)
     }
@@ -1466,10 +885,9 @@ impl ParallelSimulator {
 /// is ripe if it was sent in an earlier round (tracked with a message-id
 /// watermark: ids below the watermark are ripe).
 ///
-/// Pair it with a `SimConfig` that has `partitions >= 1` (so the sequential
-/// engine draws coins from the same per-processor streams) and the two
-/// engines produce byte-identical reports — the differential tests'
-/// foundation.
+/// Both engines draw every coin from the same per-processor streams, so under
+/// this adversary they produce byte-identical reports for the same
+/// configuration — the differential tests' foundation.
 #[derive(Debug, Clone)]
 pub struct SuperRoundAdversary {
     watermark: u64,

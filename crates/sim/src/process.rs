@@ -2,7 +2,9 @@
 
 use crate::replica::ReplicaStore;
 use fle_model::wire::CallSeq;
-use fle_model::{BitRow, CollectCache, Outcome, ProcId, Protocol, Response, View, ViewTransfer};
+use fle_model::{
+    BitRow, CoinStream, CollectCache, Outcome, ProcId, Protocol, Response, View, ViewTransfer,
+};
 use std::sync::Arc;
 
 /// What a participating processor is currently waiting for.
@@ -69,10 +71,10 @@ pub struct SimProcess {
     /// Requester-side delta-collect state: per responder, the most recent
     /// view received for the instance currently being collected.
     pub collect_cache: CollectCache,
-    /// Number of coin words this processor has drawn from its per-processor
-    /// stream (the `k` of `coin_word(seed, proc, k)`); unused (stays 0) in
-    /// legacy global-stream mode. See [`crate::partition`].
-    pub flips: u64,
+    /// This processor's local coin: every `Flip` and `Choose` draws the next
+    /// [`fle_model::coin_word`]`(seed, id, k)`, so its flips depend only on
+    /// the seed and its own draw count, never on the schedule or the engine.
+    pub coins: CoinStream,
 }
 
 impl std::fmt::Debug for SimProcess {
@@ -100,7 +102,7 @@ impl SimProcess {
             next_seq: 0,
             call_msgs: Vec::new(),
             collect_cache: CollectCache::new(),
-            flips: 0,
+            coins: CoinStream::new(0, id),
         }
     }
 
@@ -118,13 +120,15 @@ impl SimProcess {
         self.next_seq = 0;
         self.call_msgs.clear();
         self.collect_cache.clear();
-        self.flips = 0;
+        self.coins = CoinStream::new(0, id);
     }
 
-    /// Attach a protocol, turning the node into a participant.
-    pub fn participate(&mut self, protocol: Box<dyn Protocol>) {
+    /// Attach a protocol, turning the node into a participant whose coins
+    /// are drawn under `seed`.
+    pub fn participate(&mut self, protocol: Box<dyn Protocol>, seed: u64) {
         self.protocol = Some(protocol);
         self.pending = PendingWork::NotStarted;
+        self.coins = CoinStream::new(seed, self.id);
     }
 
     /// Whether this node runs a protocol.
@@ -252,7 +256,7 @@ mod tests {
     #[test]
     fn participant_lifecycle() {
         let mut p = SimProcess::replica_only(ProcId(0));
-        p.participate(Box::new(Nop));
+        p.participate(Box::new(Nop), 0);
         assert!(p.participates());
         assert!(p.step_enabled());
         assert!(p.is_live_participant());
@@ -265,7 +269,7 @@ mod tests {
     #[test]
     fn ack_quorum_promotes_pending_state() {
         let mut p = SimProcess::replica_only(ProcId(0));
-        p.participate(Box::new(Nop));
+        p.participate(Box::new(Nop), 0);
         let mut seen = BitRow::new();
         seen.set(0);
         p.pending = PendingWork::AwaitingAcks {
@@ -285,7 +289,7 @@ mod tests {
     #[test]
     fn duplicate_views_do_not_count_twice() {
         let mut p = SimProcess::replica_only(ProcId(0));
-        p.participate(Box::new(Nop));
+        p.participate(Box::new(Nop), 0);
         let mut seen = BitRow::new();
         seen.set(0);
         p.pending = PendingWork::AwaitingViews {
@@ -314,7 +318,7 @@ mod tests {
     #[test]
     fn recycle_restores_the_pristine_state() {
         let mut p = SimProcess::replica_only(ProcId(0));
-        p.participate(Box::new(Nop));
+        p.participate(Box::new(Nop), 0);
         p.crashed = true;
         p.next_seq = 9;
         p.call_msgs.push(3);

@@ -6,23 +6,18 @@
 //!
 //! Everything random in a simulation descends from the single configuration
 //! seed `s` = [`crate::SimConfig::seed`] by pure functions, so a trace (and
-//! every report field) is reproducible from `(s, n, partitions, schedule)`
-//! alone:
+//! every report field) is reproducible from `(s, n, schedule)` alone — plus
+//! the partition count for adversarial partitioned runs:
 //!
-//! * **Legacy global stream** (`config.partitions == 0`): the sequential
-//!   [`crate::Simulator`] draws every coin from one `ChaCha8` stream seeded
-//!   with `s`, in execution order. Byte-compatible with all pre-partitioning
-//!   baselines, but inherently schedule- and engine-dependent.
-//! * **Per-processor streams** (`config.partitions >= 1`, and always in the
-//!   partitioned [`crate::ParallelSimulator`]): processor `p`'s `k`-th coin
-//!   word is [`crate::coin_word`]`(s, p, k)` =
-//!   `splitmix64(splitmix64(s ^ splitmix64(p + 1)) ^ k)`. The stream depends
-//!   only on `(s, p)` — not on the partition count, the worker-thread count,
-//!   or any other processor's activity — so the sequential and partitioned
-//!   engines flip identical coins for identical protocols, which is what
-//!   makes the differential tests possible. Booleans come from
-//!   [`crate::coin_bool`] (top 53 bits as a uniform float, compared against
-//!   the bias); `Choose` picks `word % len`.
+//! * **Coins**: the `k`-th coin word processor `p` draws is
+//!   [`fle_model::coin_word`]`(s, p, k)` =
+//!   `splitmix64(splitmix64(s ^ splitmix64(p + 1)) ^ k)`, on every substrate
+//!   (both simulators, `SimMemory`, shared registers, threaded nodes). A flip
+//!   is [`fle_model::coin_bool`] of the word (top 53 bits as a uniform float,
+//!   compared against the bias); `Choose` picks `word % len`. The stream
+//!   depends only on `(s, p)` — not on the engine, the schedule, the
+//!   partition or worker-thread count, or any other processor's activity —
+//!   which is what makes the differential tests possible.
 //! * **Partition adversaries** (adversarial mode): partition `i`'s adversary
 //!   is seeded with [`crate::partition_adversary_seed`]`(s, i)` =
 //!   `splitmix64(s ^ splitmix64(0xAD5E_0000_0000_0000 | i))`. Fixed
@@ -115,6 +110,29 @@ impl Trace {
         if self.recording {
             self.events.push(event);
         }
+    }
+
+    /// A trace that records events iff `recording`.
+    pub(crate) fn new(recording: bool) -> Self {
+        if recording {
+            Trace::recording()
+        } else {
+            Trace::disabled()
+        }
+    }
+
+    /// Move every event of `other` to the end of this trace.
+    pub(crate) fn append(&mut self, other: &mut Trace) {
+        if self.recording {
+            self.events.append(&mut other.events);
+        } else {
+            other.events.clear();
+        }
+    }
+
+    /// Drop the recorded events, keeping the allocation.
+    pub(crate) fn clear(&mut self) {
+        self.events.clear();
     }
 
     /// The recorded events (empty if recording is disabled).

@@ -11,12 +11,7 @@ use fle_sim::{
 };
 
 fn config(n: usize, seed: u64) -> SimConfig {
-    // partitions >= 1 also switches the sequential engine to the shared
-    // per-processor coin streams; the value itself is irrelevant to it.
-    SimConfig::new(n)
-        .with_seed(seed)
-        .with_partitions(1)
-        .with_trace()
+    SimConfig::new(n).with_seed(seed).with_trace()
 }
 
 /// Run the sequential reference under the super-round schedule.

@@ -218,8 +218,8 @@ fn gated_fifo(
 fn gated_async_elections_match_the_sequential_adapter_bit_for_bit() {
     // The executor's FIFO-gated schedule serializes participants exactly
     // like `SimMemory::run_all` (participant 0 to completion, then 1, …),
-    // and both seed their coins with the simulator convention
-    // (`seed + proc·0x9e37`) — so for a fixed seed every coin flip, register
+    // and both draw each processor's coins from `coin_word(seed, proc, k)`
+    // — so for a fixed seed every coin flip, register
     // write and outcome must coincide: the outcome maps are *equal*, not
     // merely invariant-preserving. Any divergence means the gate layer
     // changed the backend's semantics.
