@@ -18,11 +18,9 @@
 //! survivors) and Lemma 3.7 (O(log² k) expected high-flip survivors) together
 //! bound the expected survivor count by O(log² k) under any schedule.
 
-#[cfg(test)]
-use fle_model::Slot;
 use fle_model::{
-    Action, CollectedViews, ElectionContext, InstanceId, Key, LocalStateView, Outcome, Priority,
-    ProcId, Protocol, Response, Status, Value,
+    Action, BitRow, CollectedViews, ElectionContext, InstanceId, Key, LocalStateView, Outcome,
+    Priority, ProcId, Protocol, Response, Slot, Status, Value,
 };
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -85,29 +83,42 @@ impl HeterogeneousPoisonPill {
     /// observed `ℓ` lists and all directly observed participants, and die if
     /// some member of `L` is never reported with low priority.
     ///
-    /// One pass over every view entry, accumulating `L` and the "reported
-    /// low" set as bitmaps. The heterogeneous lists can carry up to `k`
-    /// processors each, so the historical per-element `BTreeSet` insertion
-    /// (O(quorum × slots × |ℓ| · log)) dominated the sifting step at large
-    /// `n`; the bitmap union is a constant-time mark per element.
+    /// One sweep over every view entry marks `L` and the "reported low" set
+    /// in bitmaps, and merges each list only when its storage differs from
+    /// the last list merged for the same processor slot. A status slot has a
+    /// single writer that resolves it once, and a spilled `ℓ` is one shared
+    /// allocation however many replicas hold it, so the copies of one `ℓ`
+    /// across a quorum merge once. The cost is O(quorum · entries + Σ|ℓ|)
+    /// over the distinct lists, not O(quorum · entries · |ℓ|). Identical
+    /// storage means identical contents while the views are borrowed, so the
+    /// union, and the answer, is the same for any input: a slot reporting
+    /// different lists merges each, and lists in other slot families always
+    /// merge.
     fn should_die(views: &CollectedViews) -> bool {
-        let mut l_set = fle_model::BitRow::new();
-        let mut low = fle_model::BitRow::new();
+        let mut l_set = BitRow::new();
+        let mut low = BitRow::new();
+        // last_merged[j]: the list last merged from processor j's slot.
+        let mut last_merged: Vec<&[ProcId]> = Vec::new();
         for (_, view) in views.responses() {
             view.for_each(|slot, value| {
-                if let fle_model::Slot::Proc(j) = slot {
-                    l_set.set(j.index());
-                    if value
-                        .as_status()
-                        .is_some_and(|s| s.priority() == Some(Priority::Low))
-                    {
-                        low.set(j.index());
+                let status = value.as_status();
+                let list = status.map_or(&[][..], Status::list);
+                if let Slot::Proc(j) = slot {
+                    let j = j.index();
+                    l_set.set(j);
+                    if status.is_some_and(|s| s.priority() == Some(Priority::Low)) {
+                        low.set(j);
                     }
+                    if j >= last_merged.len() {
+                        last_merged.resize(j + 1, &[]);
+                    }
+                    if std::ptr::eq(last_merged[j], list) {
+                        return;
+                    }
+                    last_merged[j] = list;
                 }
-                if let Some(status) = value.as_status() {
-                    for member in status.list() {
-                        l_set.set(member.index());
-                    }
+                for member in list {
+                    l_set.set(member.index());
                 }
             });
         }
@@ -210,10 +221,11 @@ impl Protocol for HeterogeneousPoisonPill {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fle_model::View;
+    use fle_model::{ProcSet, View};
     use fle_sim::{
         Adversary, CoinAwareAdversary, RandomAdversary, SequentialAdversary, SimConfig, Simulator,
     };
+    use std::collections::BTreeSet;
 
     fn run_phase(n: usize, seed: u64, adversary: &mut dyn Adversary) -> fle_sim::ExecutionReport {
         let mut sim = Simulator::new(SimConfig::new(n).with_seed(seed));
@@ -334,6 +346,133 @@ mod tests {
             (ProcId(1), view2),
         ]);
         assert!(!HeterogeneousPoisonPill::should_die(&views));
+    }
+
+    /// The literal Figure 2 rule: visit every list of every view into `L`,
+    /// with no bitmaps and no sharing shortcuts.
+    fn reference_should_die(views: &CollectedViews) -> bool {
+        let mut l_set = BTreeSet::new();
+        let mut low = BTreeSet::new();
+        for (_, view) in views.responses() {
+            for (slot, value) in view.iter() {
+                if let Slot::Proc(j) = slot {
+                    l_set.insert(j);
+                    if value
+                        .as_status()
+                        .is_some_and(|s| s.priority() == Some(Priority::Low))
+                    {
+                        low.insert(j);
+                    }
+                }
+                if let Some(status) = value.as_status() {
+                    l_set.extend(status.list().iter().copied());
+                }
+            }
+        }
+        !l_set.is_subset(&low)
+    }
+
+    /// A counter-based test stream: `below(b)` is uniform in `0..b`.
+    struct Draws {
+        seed: u64,
+        count: u64,
+    }
+
+    impl Draws {
+        fn below(&mut self, bound: usize) -> usize {
+            self.count += 1;
+            let word = fle_model::coin_word(self.seed, ProcId(0), self.count);
+            (word % bound as u64) as usize
+        }
+
+        /// A list of up to 11 members drawn from `0..bound`.
+        fn list(&mut self, bound: usize) -> ProcSet {
+            let len = self.below(12);
+            (0..len).map(|_| ProcId(self.below(bound))).collect()
+        }
+    }
+
+    /// Seeded random collects that stress the list-sharing shortcut of
+    /// `should_die`. Views report processors `0..n`. Each slot's `ℓ` is one
+    /// `Arc` reused across many views (what its single writer resolves to
+    /// once), sometimes repeated with equal contents in a separate
+    /// allocation, and drawn from `0..n`. Rarer values may also name `n` or
+    /// `n + 1`, which no view reports, so the answer hinges on whether they
+    /// are merged: a conflicting `Resolved` value for one slot, and statuses
+    /// in `Name`/`Global` slots. `Commit` and non-status entries are mixed in.
+    fn random_views(seed: u64) -> CollectedViews {
+        let mut draws = Draws { seed, count: 0 };
+        let n = 1 + draws.below(40);
+        // Most trials mark nearly everything low, so both answers occur.
+        let low_per_mille = [0, 990, 1000, 1000][draws.below(4)];
+        let conflicts_per_mille = [0, 2, 20][draws.below(3)];
+        let side_slots = draws.below(3) == 0;
+        let shared: Vec<ProcSet> = (0..n).map(|_| draws.list(n)).collect();
+        let priority = |draws: &mut Draws| {
+            if draws.below(1000) < low_per_mille {
+                Priority::Low
+            } else {
+                Priority::High
+            }
+        };
+        let quorum = 1 + draws.below(24);
+        let responses = (0..quorum)
+            .map(|r| {
+                let mut view = View::new();
+                for (j, own) in shared.iter().enumerate() {
+                    if draws.below(5) == 0 {
+                        continue;
+                    }
+                    let roll = draws.below(1000);
+                    let list = if roll < conflicts_per_mille {
+                        draws.list(n + 2)
+                    } else {
+                        match roll % 10 {
+                            0 => {
+                                view.insert(Slot::Proc(ProcId(j)), Value::Status(Status::Commit));
+                                continue;
+                            }
+                            1 => {
+                                view.insert(Slot::Proc(ProcId(j)), Value::Round(1));
+                                continue;
+                            }
+                            2 => own.as_slice().iter().copied().collect(),
+                            _ => own.clone(),
+                        }
+                    };
+                    let priority = priority(&mut draws);
+                    view.insert(
+                        Slot::Proc(ProcId(j)),
+                        Value::Status(Status::Resolved { priority, list }),
+                    );
+                }
+                for slot in [Slot::Name(draws.below(4)), Slot::Global] {
+                    if side_slots && draws.below(4) == 0 {
+                        let priority = priority(&mut draws);
+                        let list = draws.list(n + 2);
+                        view.insert(slot, Value::Status(Status::Resolved { priority, list }));
+                    }
+                }
+                (ProcId(r), view)
+            })
+            .collect();
+        CollectedViews::new(responses)
+    }
+
+    #[test]
+    fn death_rule_matches_the_literal_figure_two_rule() {
+        let mut deaths = 0;
+        let trials = 2000;
+        for seed in 0..trials {
+            let views = random_views(seed);
+            let dies = HeterogeneousPoisonPill::should_die(&views);
+            assert_eq!(dies, reference_should_die(&views), "seed {seed}");
+            deaths += usize::from(dies);
+        }
+        assert!(
+            (trials as usize / 10..trials as usize * 9 / 10).contains(&deaths),
+            "both answers must be exercised, got {deaths} deaths of {trials}"
+        );
     }
 
     #[test]

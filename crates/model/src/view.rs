@@ -103,6 +103,21 @@ impl CellTable {
             })
     }
 
+    /// Visit `(index, value)` of every occupied cell in ascending index
+    /// order with a plain nested loop, skipping entirely empty blocks.
+    fn for_each<'a>(&'a self, mut f: impl FnMut(usize, &'a Value)) {
+        for (block, chunk) in self.chunks.iter().enumerate() {
+            if chunk.occupied == 0 {
+                continue;
+            }
+            for (offset, cell) in chunk.cells.iter().enumerate() {
+                if let Some(value) = &cell.value {
+                    f(block * CHUNK + offset, value);
+                }
+            }
+        }
+    }
+
     /// Iterate `(index, cell)` over cells stamped after `since`, skipping
     /// blocks whose newest stamp is not.
     fn delta_since(&self, since: u64) -> impl Iterator<Item = (usize, &Cell)> {
@@ -265,28 +280,12 @@ impl View {
     /// Semantically identical to [`View::iter`]; exists because the
     /// protocols' aggregate rules (death rules, observed-participant sweeps)
     /// visit quorum × entries cells per decision, where a tight loop beats
-    /// the layered iterator chain.
-    pub fn for_each(&self, mut f: impl FnMut(Slot, &Value)) {
-        for (block, chunk) in self.procs.chunks.iter().enumerate() {
-            if chunk.occupied == 0 {
-                continue;
-            }
-            for (offset, cell) in chunk.cells.iter().enumerate() {
-                if let Some(value) = &cell.value {
-                    f(Slot::Proc(ProcId(block * CHUNK + offset)), value);
-                }
-            }
-        }
-        for (block, chunk) in self.names.chunks.iter().enumerate() {
-            if chunk.occupied == 0 {
-                continue;
-            }
-            for (offset, cell) in chunk.cells.iter().enumerate() {
-                if let Some(value) = &cell.value {
-                    f(Slot::Name(block * CHUNK + offset), value);
-                }
-            }
-        }
+    /// the layered iterator chain. The values are borrowed for as long as the
+    /// view is, so a sweep may remember them across entries and views.
+    pub fn for_each<'a>(&'a self, mut f: impl FnMut(Slot, &'a Value)) {
+        self.procs
+            .for_each(|i, value| f(Slot::Proc(ProcId(i)), value));
+        self.names.for_each(|u, value| f(Slot::Name(u), value));
         if let Some(value) = &self.global.value {
             f(Slot::Global, value);
         }
@@ -392,51 +391,19 @@ impl CollectedViews {
         self.responses.is_empty()
     }
 
-    /// All slots that are non-`⊥` in at least one responder's view, in slot
-    /// order.
-    ///
-    /// Computed by marking per-family occupancy bitmaps and walking them once
-    /// — O(total entries + distinct slots) — instead of collecting every
-    /// entry of every view and sorting, which dominated the sifting phases'
-    /// step cost at large `n` (quorum × slots entries per call).
-    pub fn observed_slots(&self) -> Vec<Slot> {
-        let mut procs = BitRow::new();
-        let mut names = BitRow::new();
-        let mut global = false;
-        for (_, view) in &self.responses {
-            view.for_each(|slot, _| match slot {
-                Slot::Proc(p) => {
-                    procs.set(p.index());
-                }
-                Slot::Name(u) => {
-                    names.set(u);
-                }
-                Slot::Global => global = true,
-            });
-        }
-        let mut slots: Vec<Slot> = Vec::with_capacity(procs.len() + names.len() + 1);
-        slots.extend(procs.iter().map(|i| Slot::Proc(ProcId(i))));
-        slots.extend(names.iter().map(Slot::Name));
-        if global {
-            slots.push(Slot::Global);
-        }
-        slots
-    }
-
     /// All processors whose slot is non-`⊥` in at least one view
     /// (the paper's `ℓ ← {j | ∃k : Views[k][j] ≠ ⊥}`, Figure 2 line 17).
+    ///
+    /// One sweep of the processor slots into a bitmap, whose ascending walk
+    /// is already sorted and duplicate-free.
     pub fn observed_procs(&self) -> Vec<ProcId> {
-        let mut procs: Vec<ProcId> = self
-            .observed_slots()
-            .into_iter()
-            .filter_map(|slot| match slot {
-                Slot::Proc(p) => Some(p),
-                _ => None,
-            })
-            .collect();
-        procs.sort_unstable();
-        procs.dedup();
-        procs
+        let mut procs = BitRow::new();
+        for (_, view) in &self.responses {
+            view.procs.for_each(|i, _| {
+                procs.set(i);
+            });
+        }
+        procs.iter().map(ProcId).collect()
     }
 
     /// Does any responder report a non-`⊥` value for `slot`?
